@@ -5,7 +5,8 @@
 #   ./ci.sh [FLAGS]        flags combine freely, e.g. `./ci.sh --bench --vet`
 #
 # Without flags, the default gate runs: fmt, clippy, vh-vet, the vh-obs
-# no-default-features build, tests (debug + release) and rustdoc.
+# no-default-features build, tests (debug + release), the vbench
+# benchmark's own build and tests, and rustdoc.
 # Flags are additive on top of the gate:
 #   --bench         run the quick bench profile and compare against
 #                   crates/bench/baselines/
@@ -171,6 +172,9 @@ if [ "$RUN_GATE" = 1 ]; then
 
   echo "==> cargo test --release (optimized build exercises the byte-scan fast paths)"
   cargo test --workspace --release -q
+
+  echo "==> vbench builds and passes its tests against the workspace crates"
+  cargo test --release --offline --manifest-path vbench/Cargo.toml -q
 
   echo "==> cargo doc (no deps, warnings are errors)"
   RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet

@@ -73,24 +73,20 @@ fn main() {
         // The flat component form every number-at-a-time code path pays:
         // 4 bytes per u32 component (Vec headers not counted — this is
         // the strawman's best case).
-        let u32_bytes: usize = td
-            .pbn()
-            .in_document_order()
-            .iter()
-            .map(|(p, _)| p.components().len() * 4)
-            .sum();
+        let pbns = || {
+            let nodes = arena.nodes_in_order().iter();
+            nodes.map(|&id| (td.pbn().pbn_of(id), id))
+        };
+        let u32_bytes: usize = pbns().map(|(p, _)| p.components().len() * 4).sum();
         let key_bytes = arena.total_key_bytes();
         let offsets_bytes = arena.offsets().len() * 4;
         let arena_bytes = key_bytes + offsets_bytes;
 
         // The paper's bound is per number: no encoded key may exceed
         // twice its 4-bytes-per-component form.
-        let max_key_ratio = td
-            .pbn()
-            .in_document_order()
-            .iter()
+        let max_key_ratio = pbns()
             .filter(|(p, _)| !p.components().is_empty())
-            .map(|(p, id)| arena.key_of(*id).len() as f64 / (p.components().len() * 4) as f64)
+            .map(|(p, id)| arena.key_of(id).len() as f64 / (p.components().len() * 4) as f64)
             .fold(0.0_f64, f64::max);
         assert!(
             max_key_ratio <= 2.0,

@@ -11,13 +11,13 @@
 //! property, over one skewed random script (60% inserts, mostly at
 //! position 0 — the gap-minting worst case):
 //!
-//! * **throughput** — ns/edit through `Engine::apply` (eager per-edit
-//!   compaction) and `Engine::apply_all` at compaction thresholds 1024
-//!   and 1. The gap between the two thresholds is the compaction cost.
+//! * **throughput** — ns/edit through `Engine::apply` (one cache route
+//!   per edit) and `Engine::apply_all` (one merged route per batch).
+//!   Both splice the key arena in place on every edit.
 //! * **post-edit query slowdown** — the same query suite on the edited
 //!   engine vs an engine rebuilt from scratch on the final document.
 //!   The binary enforces the ≤[`SLOWDOWN_BUDGET`]x acceptance bound
-//!   itself (compaction allowed — the edited engine is drained), with
+//!   itself, with
 //!   up to [`ATTEMPTS`] rounds keeping the minimum ratio so a noisy
 //!   runner retries while a real regression keeps failing.
 //! * **space** — the edited key arena vs the rebuilt one, enforced
@@ -395,9 +395,7 @@ fn main() {
         e
     };
 
-    // Throughput: eager singles, then batches at two thresholds. The
-    // threshold-1 batch compacts after every edit; its gap over the
-    // threshold-1024 batch is the pure compaction cost.
+    // Throughput: eager singles, then the whole script as one batch.
     let mut singles = fresh();
     let (applied, d_single) = time(|| {
         script
@@ -410,32 +408,16 @@ fn main() {
 
     let mut batch = fresh();
     let (receipts, d_batch) = time(|| batch.apply_all(script.clone()).expect("batch applies"));
-    let batch_compacted: usize = receipts.iter().map(|r| r.compacted).sum();
     let batch_ns = d_batch.as_nanos() as f64 / receipts.len() as f64;
 
-    let mut churn = fresh();
-    churn.set_compact_threshold(1);
-    let (_, d_churn) = time(|| churn.apply_all(script.clone()).expect("batch applies"));
-    let churn_ns = d_churn.as_nanos() as f64 / script.len() as f64;
-
     let mut t = Table::new(
-        "UPD-a: ns/edit — apply (eager) vs apply_all (threshold 1024 / 1)",
-        &[
-            "edits",
-            "apply_ns",
-            "batch_ns",
-            "churn_ns",
-            "compaction_ns",
-            "mid_batch_compactions",
-        ],
+        "UPD-a: ns/edit — apply (eager) vs apply_all (one batch)",
+        &["edits", "apply_ns", "batch_ns"],
     );
     t.row(&[
         applied.to_string(),
         format!("{single_ns:.0}"),
         format!("{batch_ns:.0}"),
-        format!("{churn_ns:.0}"),
-        format!("{:.0}", churn_ns - batch_ns),
-        batch_compacted.to_string(),
     ]);
     t.print();
 
@@ -445,13 +427,7 @@ fn main() {
             .with("edits_per_s", 1e9 / single_ns),
     );
     report.push(
-        BenchRow::new("update/apply_all/edit_ns", batch_ns)
-            .with("edits_per_s", 1e9 / batch_ns)
-            .with("mid_batch_compactions", batch_compacted as f64),
-    );
-    report.push(
-        BenchRow::new("update/compact/edit_ns", churn_ns)
-            .with("compaction_ns_per_edit", churn_ns - batch_ns),
+        BenchRow::new("update/apply_all/edit_ns", batch_ns).with("edits_per_s", 1e9 / batch_ns),
     );
 
     // Post-edit slowdown: the suite on the lived-in engine vs a rebuild.

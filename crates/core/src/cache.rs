@@ -35,8 +35,8 @@
 //! is spliced in place. A [`MaintenancePolicy`] cost model (delta size
 //! vs. entry size vs. the observed rebuild time fed back by the engine)
 //! falls back to eviction when maintenance would be slower, and an
-//! overflowed journal or an explicit `Engine::compact()` falls back to
-//! full eviction — both counted as `fallback_evictions`. Maintained
+//! overflowed journal falls back to full eviction — both counted as
+//! `fallback_evictions`. Maintained
 //! entries are re-keyed to the post-edit guide fingerprint and stamped
 //! ([`Stamped`]) with the document generation, so a stale entry can
 //! never satisfy a lookup even when an edit leaves the fingerprint
@@ -312,8 +312,7 @@ pub struct CacheStats {
     /// Entries a delta invalidated (recomputed on their next open).
     pub recomputed: u64,
     /// Entries dropped by the maintenance fallback: the cost model chose
-    /// recomputation, the journal overflowed, or an explicit compaction
-    /// rewrote the arena.
+    /// recomputation or the journal overflowed.
     pub fallback_evictions: u64,
 }
 
@@ -378,7 +377,7 @@ pub fn guide_fingerprint(guide: &DataGuide) -> u64 {
 
 /// A compact description of what one committed edit batch changed in a
 /// document, derived by the engine from the dataguide edit journal and
-/// the arena delta segment, and routed to the URI's cached entries by
+/// the edited arena, and routed to the URI's cached entries by
 /// [`ExecCache::route_delta`] instead of evicting them.
 #[derive(Clone, Debug, Default)]
 pub struct ViewDelta {
@@ -448,9 +447,9 @@ pub enum Maintained<T> {
 }
 
 /// Context handed to [`MaintainView::maintain`]: the document *after* the
-/// batch (mutated and drained) and the entry's own compiled expansion.
+/// batch and the entry's own compiled expansion.
 pub struct MaintainCtx<'a> {
-    /// The edited, already-compacted document.
+    /// The edited document.
     pub td: &'a TypedDocument,
     /// The compiled expansion of the entry's view.
     pub vdg: &'a VDataGuide,
@@ -611,8 +610,8 @@ impl ExecCache {
     }
 
     /// Opens a maintenance writer section: the epoch goes odd until the
-    /// returned guard drops. Sections never nest — `route_delta` and the
-    /// public `fallback_invalidate_uri` each open exactly one.
+    /// returned guard drops. Sections never nest — `route_delta` opens
+    /// exactly one.
     fn begin_maintenance(&self) -> EpochWriter<'_> {
         self.epoch.fetch_add(1, Ordering::Acquire);
         EpochWriter(&self.epoch)
@@ -636,17 +635,9 @@ impl ExecCache {
     }
 
     /// The maintenance hard fallback: evicts everything for `uri` and
-    /// counts the drops as fallback evictions. Used when an explicit
-    /// compaction (or a recovery replay the engine cannot model) makes
-    /// maintenance claims unsafe.
-    pub fn fallback_invalidate_uri(&self, uri: &str) -> usize {
-        let _epoch = self.begin_maintenance();
-        self.fallback_invalidate_inner(uri)
-    }
-
-    /// [`ExecCache::fallback_invalidate_uri`] without the epoch bracket,
-    /// for callers (the delta router) already inside a writer section.
-    fn fallback_invalidate_inner(&self, uri: &str) -> usize {
+    /// counts the drops as fallback evictions. Callers (the delta router)
+    /// are already inside a writer section.
+    fn fallback_invalidate(&self, uri: &str) -> usize {
         let dropped = self.invalidate_uri(uri);
         self.fallback_evictions
             .fetch_add(dropped as u64, Ordering::Relaxed);
@@ -683,12 +674,12 @@ impl ExecCache {
     /// fingerprint, restamped with the new generation), entries the delta
     /// invalidates are dropped for recomputation, and entries whose
     /// maintenance the cost model rejects are dropped as fallback
-    /// evictions. `td` is the document *after* the batch (drained).
+    /// evictions. `td` is the document *after* the batch.
     pub fn route_delta(&self, delta: &ViewDelta, td: &TypedDocument) -> RouteOutcome {
         let _epoch = self.begin_maintenance();
         let mut out = RouteOutcome::default();
         if delta.overflowed {
-            out.fallback_evictions = self.fallback_invalidate_inner(&delta.uri) as u64;
+            out.fallback_evictions = self.fallback_invalidate(&delta.uri) as u64;
             return out;
         }
         let of_uri = |k: &ViewKey| k.uri == delta.uri;
@@ -955,8 +946,6 @@ mod tests {
     fn maintenance_entry_points_each_close_their_epoch() {
         let cache = ExecCache::new(16);
         assert_eq!(cache.epoch(), 0);
-        cache.fallback_invalidate_uri("a.xml");
-        assert_eq!(cache.epoch(), 2, "fallback left the epoch open or nested");
         let delta = ViewDelta {
             uri: "a.xml".into(),
             overflowed: true,
@@ -966,7 +955,7 @@ mod tests {
         cache.route_delta(&delta, &td);
         assert_eq!(
             cache.epoch(),
-            4,
+            2,
             "overflow route (which falls back internally) must open exactly one section"
         );
     }

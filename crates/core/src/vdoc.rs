@@ -40,9 +40,9 @@ impl TypeIndex {
     /// for free.
     pub fn build(td: &TypedDocument, vdg: &VDataGuide) -> Self {
         let mut by_vtype: Vec<Vec<NodeId>> = vec![Vec::new(); vdg.len()];
-        for (_, id) in td.pbn().in_document_order() {
-            if let Some(vt) = vdg.vtype_of(td.type_of(*id)) {
-                by_vtype[vt.index()].push(*id);
+        for &id in td.pbn().arena().nodes_in_order() {
+            if let Some(vt) = vdg.vtype_of(td.type_of(id)) {
+                by_vtype[vt.index()].push(id);
             }
         }
         TypeIndex { by_vtype }

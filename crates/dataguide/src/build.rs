@@ -126,9 +126,10 @@ impl TypedDocument {
     /// All nodes of the given type, in document order.
     pub fn nodes_of_type(&self, ty: TypeId) -> Vec<NodeId> {
         self.pbn
-            .in_document_order()
+            .arena()
+            .nodes_in_order()
             .iter()
-            .map(|(_, id)| *id)
+            .copied()
             .filter(|&id| self.type_of(id) == ty)
             .collect()
     }
@@ -165,7 +166,7 @@ mod tests {
     }
 
     #[test]
-    fn nodes_of_type_in_document_order() {
+    fn nodes_of_type_are_document_ordered() {
         let td = TypedDocument::analyze(paper_figure2());
         let author_ty = td.guide().lookup_path(&["data", "book", "author"]).unwrap();
         let authors = td.nodes_of_type(author_ty);

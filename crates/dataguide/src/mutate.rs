@@ -5,8 +5,8 @@
 //! subtree (`vh_pbn::update` measures exactly how much). The mutations
 //! here never do that: new siblings get numbers minted *between* their
 //! neighbours by [`KeyGen::between`], existing numbers are never touched,
-//! and the byte arena absorbs the edits lazily (see
-//! [`vh_pbn::PbnAssignment::compact`]).
+//! and the byte arena takes each edit as one splice per subtree (see
+//! [`vh_pbn::PbnAssignment::insert_run`]).
 //!
 //! Every mutation also maintains the DataGuide incrementally: newly
 //! observed paths intern new types ([`crate::DataGuide::intern_child`]) and the
@@ -147,22 +147,17 @@ impl TypedDocument {
     }
 
     /// Detaches the subtree rooted at `target` and retires its numbers.
-    /// Returns the number of nodes removed. Arena ids stay valid (the
-    /// arena never shrinks mid-session); the nodes just become
-    /// unreachable and unnumbered until the next compaction drops their
-    /// keys.
+    /// Returns the number of nodes removed. Node ids stay valid (the
+    /// document never shrinks mid-session); the nodes just become
+    /// unreachable, and their keys leave the arena in one splice.
     pub fn delete_subtree(&mut self, target: NodeId) -> Result<usize, EditError> {
         self.require_node(target)?;
         if self.doc.parent(target).is_none() {
             return Err(EditError::RootTarget);
         }
-        let subtree: Vec<NodeId> = self.doc.descendants_or_self(target).collect();
+        let removed = self.retire_subtree(target);
         self.doc.detach(target);
-        for &id in &subtree {
-            self.journal_removal(id);
-            self.pbn.remove_node(id);
-        }
-        Ok(subtree.len())
+        Ok(removed)
     }
 
     /// Moves the subtree rooted at `target` to become the `pos`-th child
@@ -193,11 +188,7 @@ impl TypedDocument {
         }
         // Retire the subtree's numbers first so the neighbour scan below
         // sees only the surviving siblings.
-        let subtree: Vec<NodeId> = self.doc.descendants_or_self(target).collect();
-        for &id in &subtree {
-            self.journal_removal(id);
-            self.pbn.remove_node(id);
-        }
+        self.retire_subtree(target);
         self.doc.detach(target);
         self.doc.attach_at(parent, pos, target);
         self.renumber_inserted(parent, pos, target);
@@ -231,19 +222,6 @@ impl TypedDocument {
         }
     }
 
-    /// Number of edits the byte arena has not yet absorbed — see
-    /// [`vh_pbn::PbnAssignment::delta_len`].
-    #[inline]
-    pub fn delta_len(&self) -> usize {
-        self.pbn.delta_len()
-    }
-
-    /// Compacts the delta segment into the byte arena; returns the number
-    /// of edits merged.
-    pub fn compact(&mut self) -> usize {
-        self.pbn.compact()
-    }
-
     /// `Ok` iff `id` is a live, reachable node of this document.
     fn require_node(&self, id: NodeId) -> Result<(), EditError> {
         let numbered = self.pbn.by_node_checked(id).is_some_and(|p| !p.is_empty());
@@ -267,7 +245,8 @@ impl TypedDocument {
     /// Numbers and types the (already attached) subtree rooted at the
     /// `pos`-th child of `parent`: the root's number is minted between
     /// its current neighbours, descendants are numbered densely, and
-    /// every node's type is interned along its new path.
+    /// every node's type is interned along its new path. The numbered
+    /// run reaches the arena in one splice.
     fn renumber_inserted(&mut self, parent: NodeId, pos: usize, root_id: NodeId) {
         let siblings = self.doc.children(parent);
         debug_assert_eq!(siblings.get(pos), Some(&root_id));
@@ -293,6 +272,8 @@ impl TypedDocument {
         let parent_ty = self.type_of[parent.index()];
         let mut stack: Vec<(NodeId, Pbn, crate::types::TypeId)> =
             vec![(root_id, root_pbn, parent_ty)];
+        // Children are pushed in reverse, so the run pops in document order.
+        let mut run = Vec::new();
         while let Some((id, num, ptype)) = stack.pop() {
             let name = match self.doc.kind(id) {
                 NodeKind::Element { name, .. } => name.as_str(),
@@ -302,8 +283,6 @@ impl TypedDocument {
             };
             let ty = self.guide.intern_child(ptype, name);
             self.type_of[id.index()] = ty;
-            let inserted = self.pbn.insert_node(id, num.clone());
-            debug_assert!(inserted, "minted numbers are unique by construction");
             self.journal.record(TouchedNode {
                 id,
                 ty,
@@ -313,22 +292,25 @@ impl TypedDocument {
             for (i, &c) in self.doc.children(id).iter().enumerate().rev() {
                 stack.push((c, num.child(i as u32 + 1), ty));
             }
+            run.push((num, id));
         }
+        let inserted = self.pbn.insert_run(run);
+        debug_assert!(inserted, "minted numbers are unique by construction");
     }
 
-    /// Journals the retirement of a still-numbered node (delete, or the
-    /// detach half of a move).
-    fn journal_removal(&mut self, id: NodeId) {
-        let Some(pbn) = self.pbn.by_node_checked(id).filter(|p| !p.is_empty()) else {
-            return;
-        };
-        let pbn = pbn.clone();
-        self.journal.record(TouchedNode {
-            id,
-            ty: self.type_of[id.index()],
-            pbn,
-            touch: Touch::Removed,
-        });
+    /// Journals and retires the numbers of the (still attached) subtree
+    /// rooted at `target` — a delete, or the detach half of a move.
+    /// Returns the number of nodes retired.
+    fn retire_subtree(&mut self, target: NodeId) -> usize {
+        for id in self.doc.descendants_or_self(target) {
+            self.journal.record(TouchedNode {
+                id,
+                ty: self.type_of[id.index()],
+                pbn: self.pbn.pbn_of(id).clone(),
+                touch: Touch::Removed,
+            });
+        }
+        self.pbn.remove_subtree(target)
     }
 }
 
@@ -354,19 +336,20 @@ mod tests {
         // Walking both in document order pairs up corresponding nodes:
         // kinds and guide paths must agree even though the numbers differ
         // (ours are minted, the rebuild's are dense).
-        for (a, b) in td
+        for (&a, &b) in td
             .pbn()
-            .in_document_order()
+            .arena()
+            .nodes_in_order()
             .iter()
-            .zip(rebuilt.pbn().in_document_order())
+            .zip(rebuilt.pbn().arena().nodes_in_order())
         {
             assert_eq!(
-                format!("{:?}", td.doc().kind(a.1)),
-                format!("{:?}", rebuilt.doc().kind(b.1))
+                format!("{:?}", td.doc().kind(a)),
+                format!("{:?}", rebuilt.doc().kind(b))
             );
             assert_eq!(
-                td.guide().path_string(td.type_of(a.1)),
-                rebuilt.guide().path_string(rebuilt.type_of(b.1))
+                td.guide().path_string(td.type_of(a)),
+                rebuilt.guide().path_string(rebuilt.type_of(b))
             );
         }
     }
@@ -392,22 +375,16 @@ mod tests {
     fn insert_between_books_mints_without_renumbering() {
         let mut t = td();
         let root = t.doc().root().unwrap();
-        let before: Vec<Pbn> = t
-            .pbn()
-            .in_document_order()
-            .iter()
-            .map(|(p, _)| p.clone())
-            .collect();
+        let numbers = |t: &TypedDocument| -> Vec<Pbn> {
+            let nodes = t.pbn().arena().nodes_in_order();
+            nodes.iter().map(|&id| t.pbn().pbn_of(id).clone()).collect()
+        };
+        let before = numbers(&t);
         let id = t
             .insert_fragment(root, 1, "<book><title>New</title></book>")
             .unwrap();
         // Existing numbers are all untouched.
-        let after: Vec<Pbn> = t
-            .pbn()
-            .in_document_order()
-            .iter()
-            .map(|(p, _)| p.clone())
-            .collect();
+        let after = numbers(&t);
         for p in &before {
             assert!(after.contains(p), "{p} was renumbered");
         }
@@ -420,9 +397,10 @@ mod tests {
         // Types intern onto the existing book path.
         assert_eq!(t.guide().path_string(t.type_of(id)), "data.book");
         assert_eq!(t.guide().path_string(t.type_of(title)), "data.book.title");
-        assert!(t.delta_len() > 0);
-        t.compact();
-        assert_eq!(t.delta_len(), 0);
+        assert_eq!(
+            t.pbn().key_of(title),
+            vh_pbn::EncodedPbn::encode(&minted.child(1)).as_bytes()
+        );
         assert_matches_rebuild(&t);
     }
 

@@ -327,8 +327,6 @@ pub struct QueryCounters {
     pub edit_failures: u64,
     /// Edits re-applied from the write-ahead log by `Engine::recover`.
     pub replayed_edits: u64,
-    /// Delta-segment compactions (automatic and explicit).
-    pub compactions: u64,
 }
 
 /// Live cumulative engine counters; one cell set per engine, updated with
@@ -346,7 +344,6 @@ pub struct QueryCounterCells {
     edits: AtomicU64,
     edit_failures: AtomicU64,
     replayed_edits: AtomicU64,
-    compactions: AtomicU64,
 }
 
 impl QueryCounterCells {
@@ -388,11 +385,6 @@ impl QueryCounterCells {
         self.edit_failures.fetch_add(1, Relaxed);
     }
 
-    /// Counts one delta-segment compaction.
-    pub fn record_compaction(&self) {
-        self.compactions.fetch_add(1, Relaxed);
-    }
-
     /// Plain snapshot of the current totals.
     pub fn snapshot(&self) -> QueryCounters {
         QueryCounters {
@@ -407,7 +399,6 @@ impl QueryCounterCells {
             edits: self.edits.load(Relaxed),
             edit_failures: self.edit_failures.load(Relaxed),
             replayed_edits: self.replayed_edits.load(Relaxed),
-            compactions: self.compactions.load(Relaxed),
         }
     }
 }
@@ -521,7 +512,6 @@ mod tests {
         cells.record_edit(false);
         cells.record_edit(true);
         cells.record_edit_failure();
-        cells.record_compaction();
         let s = cells.snapshot();
         assert_eq!(s.queries, 3);
         assert_eq!(s.failures, 1);
@@ -531,7 +521,6 @@ mod tests {
         assert_eq!(s.edits, 2);
         assert_eq!(s.edit_failures, 1);
         assert_eq!(s.replayed_edits, 1);
-        assert_eq!(s.compactions, 1);
         assert!(stats.stage_ns() <= stats.total_ns);
     }
 

@@ -82,7 +82,6 @@ pub const STABLE_SPAN_NAMES: &[&str] = &[
     "arena-range-selection",
     "apply",
     "recover",
-    "compact",
 ];
 
 /// Is `name` part of the stable span vocabulary?

@@ -15,6 +15,12 @@
 //! * `node_of_slot` — the [`NodeId`] at each document-order slot;
 //! * `slot_of_node` — the inverse map, indexed by `NodeId::index()`
 //!   (rebuilt from `node_of_slot` on load, never persisted).
+//!
+//! The arena is the numbering's only ordered representation and is kept
+//! fresh on every edit: a subtree's keys are contiguous in document
+//! order, so [`PbnArena::insert_run`] and [`PbnArena::remove_slots`]
+//! splice one run in or out. [`PbnArena::build`] is the from-scratch
+//! reference those splices must reproduce.
 
 use crate::encode::EncodedPbn;
 use crate::keys;
@@ -52,16 +58,16 @@ impl PbnArena {
     /// Flattens `(number, node)` pairs — already sorted in document order —
     /// into the columnar form. `id_space` is the size of the document's
     /// node-id space (ids not present keep the empty key).
-    pub fn build(sorted: &[(Pbn, NodeId)], id_space: usize) -> Self {
-        let mut bytes = Vec::with_capacity(sorted.len() * 3);
-        let mut offsets = Vec::with_capacity(sorted.len() + 1);
-        let mut node_of_slot = Vec::with_capacity(sorted.len());
+    pub fn build<'a>(sorted: impl IntoIterator<Item = (&'a Pbn, NodeId)>, id_space: usize) -> Self {
+        let mut bytes = Vec::with_capacity(id_space * 3);
+        let mut offsets = Vec::with_capacity(id_space + 1);
+        let mut node_of_slot = Vec::with_capacity(id_space);
         let mut slot_of_node = vec![NO_SLOT; id_space];
         offsets.push(0);
-        for (slot, (pbn, id)) in sorted.iter().enumerate() {
+        for (slot, (pbn, id)) in sorted.into_iter().enumerate() {
             bytes.extend_from_slice(EncodedPbn::encode(pbn).as_bytes());
             offsets.push(bytes.len() as u32);
-            node_of_slot.push(*id);
+            node_of_slot.push(id);
             slot_of_node[id.index()] = slot as u32;
         }
         PbnArena {
@@ -69,6 +75,69 @@ impl PbnArena {
             offsets,
             node_of_slot,
             slot_of_node,
+        }
+    }
+
+    /// Splices a document-order run of `(number, node)` pairs — a freshly
+    /// numbered subtree — in at the slot where its first key belongs: one
+    /// memmove per column plus a `slot_of_node` fix-up of the shifted
+    /// tail. No existing key is re-encoded. Returns `false` (and changes
+    /// nothing) unless the run fits strictly between its neighbours.
+    pub fn insert_run(&mut self, run: &[(Pbn, NodeId)]) -> bool {
+        let mut keys = Vec::new();
+        let mut ends = Vec::with_capacity(run.len());
+        for (pbn, _) in run {
+            keys.extend_from_slice(EncodedPbn::encode(pbn).as_bytes());
+            ends.push(keys.len() as u32);
+        }
+        let Some(&first_end) = ends.first() else {
+            return true;
+        };
+        let last_start = ends.len().checked_sub(2).map_or(0, |i| ends[i]) as usize;
+        let pos = self.lower_bound(&keys[..first_end as usize]);
+        if pos < self.len() && self.key_at_slot(pos) <= &keys[last_start..] {
+            return false;
+        }
+        let at = self.offsets[pos];
+        for o in &mut self.offsets[pos + 1..] {
+            *o += keys.len() as u32;
+        }
+        self.offsets
+            .splice(pos + 1..pos + 1, ends.iter().map(|&e| at + e));
+        self.bytes.splice(at as usize..at as usize, keys);
+        self.node_of_slot
+            .splice(pos..pos, run.iter().map(|&(_, id)| id));
+        let id_space = run.iter().map(|(_, id)| id.index() + 1).max().unwrap_or(0);
+        if self.slot_of_node.len() < id_space {
+            self.slot_of_node.resize(id_space, NO_SLOT);
+        }
+        self.reslot(pos);
+        true
+    }
+
+    /// Removes a contiguous slot range — a subtree's
+    /// [`Self::subtree_slots`] — with one memmove per column plus the
+    /// `slot_of_node` fix-up of the shifted tail.
+    ///
+    /// # Panics
+    /// Panics if `slots` reaches past [`Self::len`].
+    pub fn remove_slots(&mut self, slots: Range<usize>) {
+        let (lo, hi) = (self.offsets[slots.start], self.offsets[slots.end]);
+        self.bytes.drain(lo as usize..hi as usize);
+        self.offsets.drain(slots.start + 1..slots.end + 1);
+        for o in &mut self.offsets[slots.start + 1..] {
+            *o -= hi - lo;
+        }
+        for id in self.node_of_slot.drain(slots.clone()) {
+            self.slot_of_node[id.index()] = NO_SLOT;
+        }
+        self.reslot(slots.start);
+    }
+
+    /// Re-points `slot_of_node` at every slot from `from` on.
+    fn reslot(&mut self, from: usize) {
+        for (slot, id) in self.node_of_slot.iter().enumerate().skip(from) {
+            self.slot_of_node[id.index()] = slot as u32;
         }
     }
 
@@ -206,8 +275,7 @@ impl PbnArena {
     }
 
     /// The nodes of the subtree rooted at encoded key `p`, in document
-    /// order — the arena form of `PbnAssignment::range` over
-    /// `subtree_range(p)`.
+    /// order.
     #[inline]
     pub fn subtree_nodes(&self, p: &[u8]) -> &[NodeId] {
         &self.node_of_slot[self.subtree_slots(p)]
@@ -334,18 +402,56 @@ mod tests {
     }
 
     #[test]
-    fn subtree_slots_equal_the_pbn_range() {
-        let (_, a) = arena();
-        let p = pbn![1, 1];
-        let key = EncodedPbn::encode(&p);
+    fn subtree_slots_equal_the_tree_subtree() {
+        let (doc, a) = arena();
+        let book1 = doc.children(doc.root().unwrap())[0];
+        let key = EncodedPbn::encode(&pbn![1, 1]);
         let slots = a.arena().subtree_slots(key.as_bytes());
-        let via_range: Vec<NodeId> = {
-            let (lo, hi) = crate::order::subtree_range(&p);
-            a.range(&lo, &hi).iter().map(|(_, id)| *id).collect()
-        };
-        let via_arena: Vec<NodeId> = a.arena().subtree_nodes(key.as_bytes()).to_vec();
-        assert_eq!(via_arena, via_range);
+        let via_tree: Vec<NodeId> = doc.descendants_or_self(book1).collect();
+        assert_eq!(a.arena().subtree_nodes(key.as_bytes()), &via_tree[..]);
         assert_eq!(slots.len(), 9, "book1 subtree has 9 nodes");
+    }
+
+    /// The reference the splices must reproduce: a fresh build over the
+    /// same `(number, node)` pairs.
+    fn rebuilt(pairs: &mut [(Pbn, NodeId)], id_space: usize) -> PbnArena {
+        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+        PbnArena::build(pairs.iter().map(|(p, id)| (p, *id)), id_space)
+    }
+
+    #[test]
+    fn splices_equal_a_fresh_build() {
+        let (doc, a) = arena();
+        let mut pairs: Vec<(Pbn, NodeId)> = doc
+            .preorder()
+            .map(|id| (a.pbn_of(id).clone(), id))
+            .collect();
+        let mut arena = a.arena().clone();
+
+        // A minted subtree between book1 (1.1) and book2 (1.2), on ids
+        // past the current id space.
+        let root = crate::mint::KeyGen::between(&pbn![1], Some(&pbn![1, 1]), Some(&pbn![1, 2]));
+        let run: Vec<(Pbn, NodeId)> = (0..3)
+            .map(|k| {
+                let pbn = if k == 0 { root.clone() } else { root.child(k) };
+                (pbn, NodeId::from_index(doc.len() + k as usize))
+            })
+            .collect();
+        assert!(arena.insert_run(&run));
+        pairs.extend(run.iter().cloned());
+        assert_eq!(arena, rebuilt(&mut pairs, doc.len() + 3));
+
+        // Re-inserting any overlapping run is refused and changes nothing.
+        let before = arena.clone();
+        assert!(!arena.insert_run(&run[1..]));
+        assert!(!arena.insert_run(&[(pbn![1, 2, 1], NodeId::from_index(99))]));
+        assert_eq!(arena, before);
+
+        // Removing book2's subtree leaves exactly the other pairs.
+        let book2 = EncodedPbn::encode(&pbn![1, 2]);
+        arena.remove_slots(arena.subtree_slots(book2.as_bytes()));
+        pairs.retain(|(p, _)| !pbn![1, 2].is_prefix_of(p));
+        assert_eq!(arena, rebuilt(&mut pairs, doc.len() + 3));
     }
 
     #[test]

@@ -1,92 +1,73 @@
 //! Assigning PBN numbers to every node of a document.
 //!
 //! The assignment is the bridge between the tree model (`vh-xml`) and the
-//! numbering space: `by_node` maps a [`NodeId`] to its number in O(1), and a
-//! sorted `(Pbn, NodeId)` table answers the reverse lookup in O(log n).
-//! Comments and processing instructions are numbered like any other child,
-//! exactly as a PBN-based DBMS would.
+//! numbering space: `by_node` maps a [`NodeId`] to its number in O(1), and
+//! the document-order byte [`PbnArena`] answers the reverse lookup in
+//! O(log n). Comments and processing instructions are numbered like any
+//! other child, exactly as a PBN-based DBMS would.
 
-use crate::arena::PbnArena;
+use crate::arena::{ArenaFormatError, PbnArena};
+use crate::encode::EncodedPbn;
 use crate::number::Pbn;
 use vh_xml::{Document, NodeId};
 
 /// The PBN numbering of a document.
 ///
-/// After construction the assignment is **mutable**: minted numbers are
-/// merged into `by_node`/`sorted` immediately (so every number-level read
-/// is always current), while the columnar byte [`PbnArena`] is refreshed
-/// lazily by [`PbnAssignment::compact`]. The set of edits the arena has
-/// not yet absorbed is the *delta segment*; byte-key consumers (slot
-/// windows, twig galloping) must compact first — the engine does this
-/// before serving queries and bounds the delta with an automatic
-/// compaction threshold.
+/// After construction the assignment is **mutable** and always fresh:
+/// every edit splices the byte [`PbnArena`] in place — a subtree's keys
+/// are contiguous in document order, so an insert or a removal is one
+/// splice — and no key outside the edited subtree is re-encoded.
 #[derive(Clone, Debug)]
 pub struct PbnAssignment {
     /// `by_node[id.index()]` is the number of node `id`.
     by_node: Vec<Pbn>,
-    /// `(number, node)` pairs sorted by number (document order). Edits
-    /// are merged here eagerly; this is the always-fresh read view.
-    sorted: Vec<(Pbn, NodeId)>,
-    /// Columnar encoded-key form of the numbering as of the last
-    /// compaction; stale while `delta > 0`.
+    /// Columnar encoded-key form of the numbering, in document order.
     arena: PbnArena,
-    /// Number of edits (inserts + removals) not yet compacted into the
-    /// arena.
-    delta: usize,
 }
 
 impl PbnAssignment {
     /// Numbers every node of `doc` (root = `1`, k-th child appends `.k`).
     pub fn assign(doc: &Document) -> Self {
         let mut by_node = vec![Pbn::empty(); doc.len()];
-        let mut sorted = Vec::with_capacity(doc.len());
+        let mut in_order = Vec::with_capacity(doc.len());
         if let Some(root) = doc.root() {
-            // Iterative preorder carrying the parent's number.
+            // Iterative preorder carrying the parent's number: children are
+            // pushed in reverse, so nodes pop in document order. `by_node`
+            // owns the only copy of each number: freeing a second per-node
+            // copy after setup leaves heap holes that later allocations
+            // scatter into, which slowed queries after edits by ~15% in
+            // vbench's edit-churn workload.
             let mut stack: Vec<(NodeId, Pbn)> = vec![(root, Pbn::root())];
             while let Some((id, num)) = stack.pop() {
-                by_node[id.index()] = num.clone();
-                sorted.push((num.clone(), id));
                 for (i, &c) in doc.children(id).iter().enumerate().rev() {
                     stack.push((c, num.child(i as u32 + 1)));
                 }
+                by_node[id.index()] = num;
+                in_order.push(id);
             }
         }
-        sorted.sort_by(|a, b| a.0.cmp(&b.0));
-        let arena = PbnArena::build(&sorted, by_node.len());
-        PbnAssignment {
-            by_node,
-            sorted,
-            arena,
-            delta: 0,
-        }
+        let pairs = in_order.iter().map(|&id| (&by_node[id.index()], id));
+        let arena = PbnArena::build(pairs, by_node.len());
+        PbnAssignment { by_node, arena }
     }
 
     /// Rebuilds an assignment around an arena loaded from storage, decoding
     /// numbers from the keys instead of renumbering the document. The
     /// arena must come from [`PbnArena::from_parts`] (validated) and cover
-    /// an id space of at least `id_space` entries.
-    pub fn from_arena(arena: PbnArena, id_space: usize) -> Self {
+    /// an id space of at least `id_space` entries. A key that does not
+    /// decode as a well-formed component sequence is rejected with the
+    /// codec's failure code.
+    pub fn from_arena(arena: PbnArena, id_space: usize) -> Result<Self, ArenaFormatError> {
         let mut by_node = vec![Pbn::empty(); id_space];
-        let mut sorted = Vec::with_capacity(arena.len());
         for slot in 0..arena.len() {
-            let id = arena.node_at_slot(slot);
-            // Keys from a validated arena decode cleanly; a malformed key
-            // would have failed `from_parts`' ordering check. Fall back to
-            // the empty number rather than panicking on hostile bytes.
-            let pbn = crate::encode::EncodedPbn::from_bytes(arena.key_at_slot(slot).to_vec())
-                .map(|e| e.decode())
-                .unwrap_or_else(|_| Pbn::empty());
-            if let Some(cell) = by_node.get_mut(id.index()) {
-                *cell = pbn.clone();
+            let pbn = EncodedPbn::from_bytes(arena.key_at_slot(slot).to_vec())
+                .map_err(|e| ArenaFormatError(format!("key at slot {slot}: [{}] {e}", e.code())))?
+                .decode();
+            if let Some(cell) = by_node.get_mut(arena.node_at_slot(slot).index()) {
+                *cell = pbn;
             }
-            sorted.push((pbn, id));
         }
-        PbnAssignment {
-            by_node,
-            sorted,
-            arena,
-            delta: 0,
-        }
+        Ok(PbnAssignment { by_node, arena })
     }
 
     /// The columnar encoded-key arena of this numbering.
@@ -119,96 +100,58 @@ impl PbnAssignment {
         self.by_node.get(id.index())
     }
 
-    /// The node with the given number, if any.
+    /// The node with the given number, if any: a lower bound on its
+    /// encoded key.
     pub fn node_of(&self, pbn: &Pbn) -> Option<NodeId> {
-        self.sorted
-            .binary_search_by(|(p, _)| p.cmp(pbn))
-            .ok()
-            .map(|i| self.sorted[i].1)
-    }
-
-    /// All `(number, node)` pairs in document order.
-    #[inline]
-    pub fn in_document_order(&self) -> &[(Pbn, NodeId)] {
-        &self.sorted
+        let key = EncodedPbn::encode(pbn);
+        let slot = self.arena.lower_bound(key.as_bytes());
+        (slot < self.arena.len() && self.arena.key_at_slot(slot) == key.as_bytes())
+            .then(|| self.arena.node_at_slot(slot))
     }
 
     /// Number of assigned nodes.
     #[inline]
     pub fn len(&self) -> usize {
-        self.sorted.len()
+        self.arena.len()
     }
 
     /// True if no nodes were assigned (empty document).
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
+        self.arena.is_empty()
     }
 
-    /// The nodes whose numbers fall in the half-open interval `[lo, hi)` in
-    /// document order — the primitive behind subtree scans.
-    pub fn range(&self, lo: &Pbn, hi: &Pbn) -> &[(Pbn, NodeId)] {
-        let start = self.sorted.partition_point(|(p, _)| p < lo);
-        let end = self.sorted.partition_point(|(p, _)| p < hi);
-        &self.sorted[start..end]
-    }
-
-    /// Records a newly minted number for `id`, merging it into the sorted
-    /// table and per-node map immediately. The arena is *not* updated —
-    /// the edit joins the delta segment until [`PbnAssignment::compact`].
-    ///
-    /// Returns `false` (and changes nothing) if the number is already
-    /// assigned to another node — minted keys must be unique.
-    pub fn insert_node(&mut self, id: NodeId, pbn: Pbn) -> bool {
-        let pos = match self.sorted.binary_search_by(|(p, _)| p.cmp(&pbn)) {
-            Ok(_) => return false,
-            Err(pos) => pos,
-        };
-        if self.by_node.len() <= id.index() {
-            self.by_node.resize(id.index() + 1, Pbn::empty());
+    /// Records a freshly numbered subtree — its `(number, node)` pairs in
+    /// document order — with one arena splice. Returns `false` (and
+    /// changes nothing) if the run collides with an assigned number:
+    /// minted keys must be unique.
+    pub fn insert_run(&mut self, run: Vec<(Pbn, NodeId)>) -> bool {
+        if !self.arena.insert_run(&run) {
+            return false;
         }
-        self.by_node[id.index()] = pbn.clone();
-        self.sorted.insert(pos, (pbn, id));
-        self.delta += 1;
+        for (pbn, id) in run {
+            if self.by_node.len() <= id.index() {
+                self.by_node.resize(id.index() + 1, Pbn::empty());
+            }
+            self.by_node[id.index()] = pbn;
+        }
         true
     }
 
-    /// Removes the assignment of `id`, if any. The node's `by_node` entry
-    /// reverts to the empty number; the arena keeps the stale key until
-    /// [`PbnAssignment::compact`].
-    pub fn remove_node(&mut self, id: NodeId) -> bool {
-        let Some(pbn) = self.by_node.get(id.index()).cloned() else {
-            return false;
-        };
-        if pbn.is_empty() {
-            return false;
+    /// Retires the numbers of the subtree rooted at `id` with one arena
+    /// splice; their `by_node` entries revert to the empty number.
+    /// Returns the number of slots removed (0 if `id` is unnumbered).
+    pub fn remove_subtree(&mut self, id: NodeId) -> usize {
+        let key = self.arena.key_of(id);
+        if key.is_empty() {
+            return 0;
         }
-        let Ok(pos) = self.sorted.binary_search_by(|(p, _)| p.cmp(&pbn)) else {
-            return false;
-        };
-        self.sorted.remove(pos);
-        self.by_node[id.index()] = Pbn::empty();
-        self.delta += 1;
-        true
-    }
-
-    /// Number of edits the arena has not yet absorbed. While non-zero,
-    /// [`PbnAssignment::arena`] and [`PbnAssignment::key_of`] reflect the
-    /// last compaction, not the current numbering.
-    #[inline]
-    pub fn delta_len(&self) -> usize {
-        self.delta
-    }
-
-    /// Rebuilds the columnar arena from the (always-fresh) sorted table,
-    /// absorbing the delta segment. Returns the number of edits merged.
-    pub fn compact(&mut self) -> usize {
-        let merged = self.delta;
-        if merged > 0 {
-            self.arena = PbnArena::build(&self.sorted, self.by_node.len());
-            self.delta = 0;
+        let slots = self.arena.subtree_slots(key);
+        for &n in &self.arena.nodes_in_order()[slots.clone()] {
+            self.by_node[n.index()] = Pbn::empty();
         }
-        merged
+        self.arena.remove_slots(slots.clone());
+        slots.len()
     }
 }
 
@@ -258,24 +201,11 @@ mod tests {
     }
 
     #[test]
-    fn sorted_table_is_document_order() {
+    fn arena_slots_are_document_order() {
         let doc = paper_figure2();
         let a = PbnAssignment::assign(&doc);
         let preorder: Vec<_> = doc.preorder().collect();
-        let by_number: Vec<_> = a.in_document_order().iter().map(|(_, id)| *id).collect();
-        assert_eq!(preorder, by_number);
-    }
-
-    #[test]
-    fn range_scan_returns_a_subtree() {
-        let doc = paper_figure2();
-        let a = PbnAssignment::assign(&doc);
-        let (lo, hi) = crate::order::subtree_range(&pbn![1, 1]);
-        let sub = a.range(&lo, &hi);
-        // book1 subtree: book, title, text, author, name, text, publisher,
-        // location, text = 9 nodes.
-        assert_eq!(sub.len(), 9);
-        assert!(sub.iter().all(|(p, _)| pbn![1, 1].is_prefix_of(p)));
+        assert_eq!(a.arena().nodes_in_order(), &preorder[..]);
     }
 
     #[test]
@@ -286,7 +216,7 @@ mod tests {
     }
 
     #[test]
-    fn minted_inserts_merge_eagerly_and_compact_lazily() {
+    fn minted_inserts_are_keyed_immediately() {
         let doc = paper_figure2();
         let mut a = PbnAssignment::assign(&doc);
         let before = a.len();
@@ -295,30 +225,18 @@ mod tests {
         // a fresh id past the current id space.
         let minted = crate::mint::KeyGen::between(&pbn![1], Some(&pbn![1, 1]), Some(&pbn![1, 2]));
         let new_id = NodeId::from_index(doc.len());
-        assert!(a.insert_node(new_id, minted.clone()));
-        assert!(!a.insert_node(NodeId::from_index(doc.len() + 1), minted.clone()));
-        assert_eq!(a.delta_len(), 1);
+        assert!(a.insert_run(vec![(minted.clone(), new_id)]));
+        let dup = NodeId::from_index(doc.len() + 1);
+        assert!(!a.insert_run(vec![(minted.clone(), dup)]));
 
-        // Number-level reads see the edit immediately…
+        // Number-level and byte-level reads both see the edit at once.
         assert_eq!(a.len(), before + 1);
         assert_eq!(a.pbn_of(new_id), &minted);
         assert_eq!(a.node_of(&minted), Some(new_id));
-        let order: Vec<_> = a
-            .in_document_order()
-            .iter()
-            .map(|(p, _)| p.clone())
-            .collect();
-        let mut sorted = order.clone();
-        sorted.sort();
-        assert_eq!(order, sorted, "sorted table stays sorted after insert");
-
-        // …while the byte arena is stale until compaction.
-        assert!(a.key_of(new_id).is_empty());
-        assert_eq!(a.compact(), 1);
-        assert_eq!(a.delta_len(), 0);
-        assert!(!a.key_of(new_id).is_empty());
-        assert_eq!(a.arena().len(), before + 1);
-        assert_eq!(a.compact(), 0, "compacting a clean assignment is free");
+        assert_eq!(a.key_of(new_id), EncodedPbn::encode(&minted).as_bytes());
+        let book1 = a.node_of(&pbn![1, 1]).unwrap();
+        let book2 = a.node_of(&pbn![1, 2]).unwrap();
+        assert!(a.key_of(book1) < a.key_of(new_id) && a.key_of(new_id) < a.key_of(book2));
     }
 
     #[test]
@@ -327,21 +245,20 @@ mod tests {
         let mut a = PbnAssignment::assign(&doc);
         let root = doc.root().unwrap();
         let book1 = doc.children(root)[0];
+        let title1 = doc.children(book1)[0];
         let n = a.len();
 
-        assert!(a.remove_node(book1));
-        assert!(!a.remove_node(book1), "double remove is a no-op");
-        assert_eq!(a.len(), n - 1);
+        assert_eq!(a.remove_subtree(book1), 9);
+        assert_eq!(a.remove_subtree(book1), 0, "double remove is a no-op");
+        assert_eq!(a.len(), n - 9);
         assert_eq!(a.node_of(&pbn![1, 1]), None);
         assert_eq!(a.by_node_checked(book1), Some(&Pbn::empty()));
+        assert!(a.key_of(title1).is_empty(), "descendants leave with it");
 
         // The freed number can be re-minted for a different node.
         let id = NodeId::from_index(doc.len());
-        assert!(a.insert_node(id, pbn![1, 1]));
+        assert!(a.insert_run(vec![(pbn![1, 1], id)]));
         assert_eq!(a.node_of(&pbn![1, 1]), Some(id));
-        assert_eq!(a.delta_len(), 2);
-        a.compact();
-        assert_eq!(a.key_of(id), a.arena().key_of(id));
-        assert_eq!(a.arena().len(), n);
+        assert_eq!(a.arena().len(), n - 8);
     }
 }

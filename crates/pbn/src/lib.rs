@@ -20,8 +20,9 @@
 //!   (`memcmp` = document order, `starts_with` = ancestor-or-self) and
 //!   the `prefix_succ` subtree upper bound.
 //! * [`arena`] — the columnar [`PbnArena`]: every key of a document in
-//!   one contiguous, document-order buffer.
-//! * [`assign`] — numbering every node of a [`vh_xml::Document`].
+//!   one contiguous, document-order buffer, spliced in place per edit.
+//! * [`assign`] — numbering every node of a [`vh_xml::Document`]; the
+//!   arena is the numbering's one ordered representation.
 //! * [`mint`] — renumbering-free sibling-key minting: [`KeyGen::between`]
 //!   allocates a number strictly between two existing siblings without
 //!   touching any assigned number.

@@ -42,13 +42,12 @@ pub fn incremental_renumber(
     _parent: NodeId,
 ) -> RenumberReport {
     let assignment = PbnAssignment::assign(doc);
-    let mut changed = 0;
-    for (num, id) in assignment.in_document_order() {
-        let old: Option<&Pbn> = previous.pbn_of_checked(*id);
-        if old != Some(num) {
-            changed += 1;
-        }
-    }
+    let changed = assignment
+        .arena()
+        .nodes_in_order()
+        .iter()
+        .filter(|&&id| previous.pbn_of_checked(id) != Some(assignment.pbn_of(id)))
+        .count();
     RenumberReport {
         assignment,
         changed,

@@ -284,8 +284,8 @@ pub struct EditReceipt {
     pub kind: &'static str,
     /// Nodes inserted, removed, moved or rewritten by this edit.
     pub nodes_touched: u64,
-    /// Delta-segment entries merged into the byte arena on account of
-    /// this edit (0 when the edit batch is still accumulating).
+    /// Arena slots this edit inserted or removed (a move counts its
+    /// subtree twice: out, then back in).
     pub compacted: usize,
 }
 
@@ -314,7 +314,7 @@ pub struct EditRecovery {
     pub skipped: u64,
     /// The first record that failed to decode or re-apply, if any.
     pub failed: Vec<ReplayFailure>,
-    /// Delta-segment entries merged by the end-of-recovery compaction.
+    /// Arena slots the replayed edits inserted or removed.
     pub compacted: usize,
     /// The `recover` span tree when tracing was requested.
     pub trace: Option<QueryTrace>,

@@ -291,11 +291,6 @@ pub struct EngineSnapshot {
 
 // --------------------------------------------------------------- engine ---
 
-/// Default number of delta-segment entries a document may accumulate
-/// during an [`Engine::apply_all`] batch or WAL replay before it is
-/// compacted mid-stream.
-pub const DEFAULT_COMPACT_THRESHOLD: usize = 1024;
-
 /// A registry of analyzed documents plus the query entry points.
 pub struct Engine {
     docs: HashMap<String, TypedDocument>,
@@ -321,11 +316,8 @@ pub struct Engine {
     /// [`Engine::recover`] skips records at or below it (idempotent
     /// replay).
     applied_seq: u64,
-    /// Delta-segment entries a document may accumulate mid-batch before
-    /// being compacted (see [`Engine::set_compact_threshold`]).
-    compact_threshold: usize,
     /// Per-URI document generation, bumped whenever a structural edit
-    /// batch commits (or a URI is re-registered / hard-compacted). Cached
+    /// batch commits (or a URI is re-registered). Cached
     /// entries carry the generation they reflect ([`Stamped`]); a lookup
     /// whose entry generation disagrees recomputes, so correctness never
     /// depends on delta routing having reached every entry.
@@ -344,7 +336,6 @@ impl Default for Engine {
             stores: HashMap::new(),
             wal: EditWal::new(),
             applied_seq: 0,
-            compact_threshold: DEFAULT_COMPACT_THRESHOLD,
             doc_gen: HashMap::new(),
         }
     }
@@ -447,16 +438,14 @@ impl Engine {
     ///
     /// Sibling numbers are minted *between* their neighbours
     /// ([`vh_pbn::KeyGen`]), so no existing node is ever renumbered; the
-    /// byte arena absorbs the edit via an immediate bounded compaction so
-    /// concurrent readers ([`Engine::run`] takes `&self`) always see a
-    /// fresh arena.
+    /// byte arena takes the edit as one splice per touched subtree, so
+    /// readers ([`Engine::run`] takes `&self`) always see a fresh arena.
     pub fn apply(&mut self, edit: Edit) -> Result<EditReceipt, FlwrError> {
         self.apply_traced(edit, false).map(|(receipt, _)| receipt)
     }
 
     /// [`Engine::apply`] with an optional `apply` span tree (metadata:
-    /// edit kind and URI; children: the `compact` span when the delta
-    /// segment is drained).
+    /// edit kind and URI).
     pub fn apply_traced(
         &mut self,
         edit: Edit,
@@ -470,7 +459,7 @@ impl Engine {
         trace.meta("kind", edit.kind());
         trace.meta("uri", edit.uri());
         let old_fp = self.fingerprint_of(edit.uri());
-        let nodes_touched = match self.apply_inner(&edit, &mut trace) {
+        let (nodes_touched, compacted) = match self.apply_inner(&edit, &mut trace) {
             Ok(n) => n,
             Err(e) => {
                 self.counters.record_edit_failure();
@@ -479,7 +468,6 @@ impl Engine {
         };
         let seq = self.log_edit(&edit);
         trace.count("wal.seq", seq);
-        let compacted = self.drain_delta(edit.uri(), &mut trace);
         self.route_uri_delta(edit.uri(), old_fp, &mut trace);
         Ok((
             EditReceipt {
@@ -494,12 +482,9 @@ impl Engine {
     }
 
     /// Applies a batch of edits in order. Unlike repeated
-    /// [`Engine::apply`] calls, the delta segment of each document is
-    /// allowed to accumulate up to the compaction threshold between
-    /// edits and is drained once per document at the end of the batch —
-    /// the receipts' `compacted` fields report only mid-batch threshold
-    /// compactions. Stops at the first rejected edit; everything before
-    /// it is applied and durable.
+    /// [`Engine::apply`] calls, the cache sees each touched document's
+    /// edits as one merged delta at the end of the batch. Stops at the
+    /// first rejected edit; everything before it is applied and durable.
     pub fn apply_all(&mut self, edits: Vec<Edit>) -> Result<Vec<EditReceipt>, FlwrError> {
         let mut trace = TraceBuilder::disabled();
         let mut receipts = Vec::with_capacity(edits.len());
@@ -509,11 +494,11 @@ impl Engine {
         let mut touched: Vec<(String, u64)> = Vec::new();
         for edit in edits {
             let old_fp = self.fingerprint_of(edit.uri());
-            let nodes_touched = match self.apply_inner(&edit, &mut trace) {
+            let (nodes_touched, compacted) = match self.apply_inner(&edit, &mut trace) {
                 Ok(n) => n,
                 Err(e) => {
                     self.counters.record_edit_failure();
-                    self.drain_touched(&touched, &mut trace);
+                    self.route_touched(&touched, &mut trace);
                     return Err(e);
                 }
             };
@@ -521,11 +506,6 @@ impl Engine {
             if !touched.iter().any(|(u, _)| u == edit.uri()) {
                 touched.push((edit.uri().to_owned(), old_fp));
             }
-            let compacted = if self.delta_of(edit.uri()) >= self.compact_threshold {
-                self.drain_delta(edit.uri(), &mut trace)
-            } else {
-                0
-            };
             receipts.push(EditReceipt {
                 seq,
                 uri: edit.uri().to_owned(),
@@ -534,7 +514,7 @@ impl Engine {
                 compacted,
             });
         }
-        self.drain_touched(&touched, &mut trace);
+        self.route_touched(&touched, &mut trace);
         Ok(receipts)
     }
 
@@ -592,16 +572,13 @@ impl Engine {
             };
             let old_fp = self.fingerprint_of(edit.uri());
             match self.apply_inner(&edit, &mut trace) {
-                Ok(_) => {
+                Ok((_, slots)) => {
                     self.applied_seq = r.seq;
                     rec.replayed += 1;
+                    rec.compacted += slots;
                     self.counters.record_edit(true);
                     if !touched.iter().any(|(u, _)| u == edit.uri()) {
                         touched.push((edit.uri().to_owned(), old_fp));
-                    }
-                    // Bound the delta segment during long replays.
-                    if self.delta_of(edit.uri()) >= self.compact_threshold {
-                        rec.compacted += self.drain_delta(edit.uri(), &mut trace);
                     }
                 }
                 Err(e) => {
@@ -613,45 +590,12 @@ impl Engine {
                 }
             }
         }
-        for (uri, old_fp) in &touched {
-            rec.compacted += self.drain_delta(uri, &mut trace);
-            self.route_uri_delta(uri, *old_fp, &mut trace);
-        }
+        self.route_touched(&touched, &mut trace);
         self.wal = wal;
         trace.count("recover.replayed", rec.replayed);
         trace.count("recover.skipped", rec.skipped);
         rec.trace = trace.finish();
         Ok(rec)
-    }
-
-    /// Explicitly merges every document's outstanding delta segment into
-    /// its byte arena. Returns the total number of entries merged. After
-    /// single [`Engine::apply`] calls this is a no-op (they drain
-    /// eagerly); it exists as the bounded explicit compactor for embedders
-    /// driving [`Engine::apply_all`] batches or long replays.
-    ///
-    /// Unlike the modeled drains inside `apply`/`apply_all`/`recover`
-    /// (which route a [`ViewDelta`] to the cache), an explicit compaction
-    /// the engine did not schedule takes the maintenance **hard
-    /// fallback**: any URI it actually compacts has its edit journal
-    /// discarded and its cached views evicted (counted as fallback
-    /// evictions), and its generation bumped.
-    pub fn compact(&mut self) -> usize {
-        let uris: Vec<String> = self.docs.keys().cloned().collect();
-        let mut trace = TraceBuilder::disabled();
-        let mut merged = 0;
-        for uri in uris {
-            let m = self.drain_delta(&uri, &mut trace);
-            if m > 0 {
-                if let Some(td) = self.docs.get_mut(&uri) {
-                    td.take_delta();
-                }
-                self.cache.fallback_invalidate_uri(&uri);
-                *self.doc_gen.entry(uri).or_insert(0) += 1;
-            }
-            merged += m;
-        }
-        merged
     }
 
     /// Replaces the cache's maintain-vs-recompute cost model (a tuning
@@ -661,16 +605,6 @@ impl Engine {
         if let Some(c) = Arc::get_mut(&mut self.cache) {
             c.set_policy(policy);
         }
-    }
-
-    /// Replaces the mid-batch compaction threshold (clamped to ≥ 1).
-    pub fn set_compact_threshold(&mut self, threshold: usize) {
-        self.compact_threshold = threshold.max(1);
-    }
-
-    /// The mid-batch compaction threshold currently in force.
-    pub fn compact_threshold(&self) -> usize {
-        self.compact_threshold
     }
 
     /// The engine's write-ahead edit log as bytes — what `vpbn edit`
@@ -689,25 +623,34 @@ impl Engine {
     /// URI's guide fingerprint (the guide may have grown). Cached views
     /// are **not** evicted here: the edit's journal is routed to the cache
     /// as a [`ViewDelta`] once the batch commits
-    /// ([`Engine::route_uri_delta`]). Returns the number of nodes touched.
-    /// Does **not** log or compact.
-    fn apply_inner(&mut self, edit: &Edit, trace: &mut TraceBuilder) -> Result<u64, FlwrError> {
+    /// ([`Engine::route_uri_delta`]). Returns the number of nodes touched
+    /// and the number of arena slots the edit inserted or removed. Does
+    /// **not** log.
+    fn apply_inner(
+        &mut self,
+        edit: &Edit,
+        trace: &mut TraceBuilder,
+    ) -> Result<(u64, usize), FlwrError> {
         let uri = edit.uri();
         let td = self
             .docs
             .get_mut(uri)
             .ok_or_else(|| FlwrError::UnknownDocument(uri.to_owned()))?;
-        let nodes_touched = match edit {
+        // Inserts and deletes splice their subtree's slots once, a move
+        // twice (out, then back in), a value rewrite at most one text slot.
+        let (nodes_touched, slots) = match edit {
             Edit::InsertSubtree {
                 parent, pos, xml, ..
             } => {
                 let parent = resolve_path(td.doc(), parent)?;
                 let root = td.insert_fragment(parent, *pos, xml)?;
-                td.doc().descendants_or_self(root).count() as u64
+                let n = td.doc().descendants_or_self(root).count();
+                (n as u64, n)
             }
             Edit::DeleteSubtree { target, .. } => {
                 let target = resolve_path(td.doc(), target)?;
-                td.delete_subtree(target)? as u64
+                let n = td.delete_subtree(target)?;
+                (n as u64, n)
             }
             Edit::MoveSubtree {
                 target,
@@ -718,19 +661,21 @@ impl Engine {
                 let t = resolve_path(td.doc(), target)?;
                 let p = resolve_path(td.doc(), parent)?;
                 td.move_subtree(t, p, *pos)?;
-                td.doc().descendants_or_self(t).count() as u64
+                let n = td.doc().descendants_or_self(t).count();
+                (n as u64, 2 * n)
             }
             Edit::SetValue { target, value, .. } => {
                 let t = resolve_path(td.doc(), target)?;
+                let before = td.pbn().len();
                 td.set_value(t, value)?;
-                1
+                (1, td.pbn().len() - before)
             }
         };
         trace.count("edit.nodes_touched", nodes_touched);
         let fp = guide_fingerprint(td.guide());
         self.stores.remove(uri);
         self.guide_hash.insert(uri.to_owned(), fp);
-        Ok(nodes_touched)
+        Ok((nodes_touched, slots))
     }
 
     /// Makes an applied edit durable: encodes, appends and syncs its WAL
@@ -745,40 +690,13 @@ impl Engine {
         seq
     }
 
-    /// Merges `uri`'s delta segment into its byte arena under a `compact`
-    /// span. Returns the number of entries merged (0 when already
-    /// compact). No cached artifact addresses arena slots directly, so a
-    /// modeled drain does not evict; the batch's journal is routed through
-    /// [`Engine::route_uri_delta`] afterwards.
-    fn drain_delta(&mut self, uri: &str, trace: &mut TraceBuilder) -> usize {
-        let Some(td) = self.docs.get_mut(uri) else {
-            return 0;
-        };
-        if td.delta_len() == 0 {
-            return 0;
-        }
-        trace.begin("compact");
-        trace.meta("uri", uri);
-        let merged = td.compact();
-        trace.count("compact.merged", merged as u64);
-        trace.end();
-        self.counters.record_compaction();
-        merged
-    }
-
-    /// Drains and routes every URI in `touched` (end-of-batch cleanup,
-    /// also taken on the error path so the partially applied prefix is
-    /// consistent with the cache).
-    fn drain_touched(&mut self, touched: &[(String, u64)], trace: &mut TraceBuilder) {
+    /// Routes every URI in `touched` (end-of-batch cleanup, also taken on
+    /// the error path so the partially applied prefix is consistent with
+    /// the cache).
+    fn route_touched(&mut self, touched: &[(String, u64)], trace: &mut TraceBuilder) {
         for (uri, old_fp) in touched {
-            self.drain_delta(uri, trace);
             self.route_uri_delta(uri, *old_fp, trace);
         }
-    }
-
-    /// Outstanding delta-segment length of `uri` (0 for unknown URIs).
-    fn delta_of(&self, uri: &str) -> usize {
-        self.docs.get(uri).map_or(0, TypedDocument::delta_len)
     }
 
     /// The recorded guide fingerprint of `uri` (0 for unknown URIs — the
@@ -813,7 +731,7 @@ impl Engine {
         };
         let td = &self.docs[uri];
         // Byte-key bounds over every touch's number at touch time, and the
-        // post-drain arena slot bracket of the touches still alive.
+        // post-edit arena slot bracket of the touches still alive.
         let mut key_range: Option<(Vec<u8>, Vec<u8>)> = None;
         let mut slot_range: Option<(usize, usize)> = None;
         for t in &d.touched {
@@ -1272,11 +1190,6 @@ impl Engine {
             &[],
             snap.queries.replayed_edits,
         );
-        w.counter(
-            "vpbn_compactions_total",
-            "Delta-segment compactions (automatic and explicit).",
-        );
-        w.sample("vpbn_compactions_total", &[], snap.queries.compactions);
         let artifacts = [
             ("expansions", &snap.cache.expansions),
             ("levels", &snap.cache.levels),
@@ -1317,8 +1230,8 @@ impl Engine {
         w.sample("vh_cache_recomputed_total", &[], snap.cache.recomputed);
         w.counter(
             "vh_cache_fallback_evictions_total",
-            "Cache entries dropped by the maintenance hard fallback (overflowed journal, \
-             explicit compaction, or the cost model).",
+            "Cache entries dropped by the maintenance hard fallback (overflowed journal \
+             or the cost model).",
         );
         w.sample(
             "vh_cache_fallback_evictions_total",
@@ -1987,7 +1900,7 @@ mod tests {
         assert_eq!(r1.seq, 1);
         assert_eq!(r1.kind, "insert-subtree");
         assert_eq!(r1.nodes_touched, 6); // book+title+text+author+name+text
-        assert!(r1.compacted > 0, "single applies drain the delta eagerly");
+        assert_eq!(r1.compacted, 6, "the insert splices its six slots in");
         let r2 = e
             .apply(Edit::SetValue {
                 uri: "book.xml".into(),
@@ -2004,9 +1917,7 @@ mod tests {
         let snap = e.snapshot();
         assert_eq!(snap.queries.edits, 2);
         assert_eq!(snap.queries.edit_failures, 0);
-        // The insert drained its delta; the in-place text rewrite touched
-        // no numbering, so it had nothing to compact.
-        assert_eq!(snap.queries.compactions, 1);
+        // The in-place text rewrite touched no numbering.
         assert_eq!(r2.compacted, 0);
     }
 
@@ -2250,24 +2161,16 @@ mod tests {
     }
 
     #[test]
-    fn apply_all_batches_share_one_final_compaction() {
+    fn apply_all_receipts_report_their_own_slots() {
         let mut e = engine();
         let edits: Vec<Edit> = (0..8).map(|i| insert_book(&format!("b{i}"), 2)).collect();
         let receipts = e.apply_all(edits).must();
         assert_eq!(receipts.len(), 8);
         assert!(
-            receipts.iter().all(|r| r.compacted == 0),
-            "below the threshold nothing compacts mid-batch"
+            receipts.iter().all(|r| r.compacted == 6),
+            "each insert splices its own six slots"
         );
-        assert_eq!(e.compact(), 0, "the batch drained its delta at the end");
         assert_eq!(e.eval_path("book.xml", "//book").must().len(), 10);
-        // A tiny threshold forces mid-batch compactions.
-        let mut tight = engine();
-        tight.set_compact_threshold(1);
-        let receipts = tight
-            .apply_all((0..3).map(|i| insert_book(&format!("t{i}"), 2)).collect())
-            .must();
-        assert!(receipts.iter().all(|r| r.compacted > 0));
     }
 
     #[test]
@@ -2278,12 +2181,10 @@ mod tests {
         assert_eq!(trace.root.name, "apply");
         assert_eq!(trace.root.meta_value("kind"), Some("insert-subtree"));
         assert_eq!(trace.root.meta_value("uri"), Some("book.xml"));
-        assert!(trace.root.find("compact").is_some());
         let text = e.metrics_text();
         for needle in [
             "vpbn_edits_total 1",
             "vpbn_edit_failures_total 0",
-            "vpbn_compactions_total 1",
             "vpbn_replayed_edits_total 0",
             "vh_cache_maintained_total",
         ] {

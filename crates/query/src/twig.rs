@@ -259,12 +259,12 @@ impl<'a> PhysicalTwigSource<'a> {
     /// lists, which are then appended **in chunk order** — so every stream
     /// comes out in exactly the document order of the sequential build.
     pub fn with_options(td: &'a TypedDocument, opts: &ExecOptions) -> Self {
-        let in_order = td.pbn().in_document_order();
+        let in_order = td.pbn().arena().nodes_in_order();
         let partials = exec::par_chunk_map(opts, in_order, |chunk| {
             let mut by_name: HashMap<String, Vec<NodeId>> = HashMap::new();
-            for (_, id) in chunk {
-                if let Some(name) = td.doc().name(*id) {
-                    by_name.entry(name.to_owned()).or_default().push(*id);
+            for &id in chunk {
+                if let Some(name) = td.doc().name(id) {
+                    by_name.entry(name.to_owned()).or_default().push(id);
                 }
             }
             by_name

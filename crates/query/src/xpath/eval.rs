@@ -1181,7 +1181,7 @@ mod tests {
     }
 
     #[test]
-    fn union_merges_in_document_order() {
+    fn union_merges_by_document_order() {
         let td = TypedDocument::analyze(paper_figure2());
         let d = PhysicalDoc::new(&td);
         let p = parse_xpath("//book[1]").must();

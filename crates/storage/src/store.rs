@@ -368,8 +368,8 @@ mod tests {
         let reopened = s.reopen_pbn()?;
         let original = s.typed().pbn();
         assert_eq!(reopened.arena(), original.arena());
-        assert_eq!(reopened.in_document_order(), original.in_document_order());
         for id in s.typed().doc().preorder() {
+            assert_eq!(reopened.pbn_of(id), original.pbn_of(id));
             assert_eq!(reopened.key_of(id), original.key_of(id));
         }
         Ok(())

@@ -21,8 +21,8 @@ impl TypeIndex {
     pub fn build(td: &TypedDocument) -> Self {
         let mut by_type: Vec<Vec<NodeId>> = vec![Vec::new(); td.guide().len()];
         // Document order = PBN order, so each list is born sorted.
-        for (_, id) in td.pbn().in_document_order() {
-            by_type[td.type_of(*id).index()].push(*id);
+        for &id in td.pbn().arena().nodes_in_order() {
+            by_type[td.type_of(id).index()].push(id);
         }
         TypeIndex { by_type }
     }
@@ -86,7 +86,7 @@ mod tests {
     use vh_xml::builder::paper_figure2;
 
     #[test]
-    fn per_type_lists_in_document_order() {
+    fn per_type_lists_are_document_ordered() {
         let td = TypedDocument::analyze(paper_figure2());
         let idx = TypeIndex::build(&td);
         let title = td.guide().lookup_path(&["data", "book", "title"]).must();

@@ -85,7 +85,7 @@ pub struct ReadWriteReport {
     pub maintained: u64,
     /// Cache entries a delta invalidated for recomputation.
     pub recomputed: u64,
-    /// Maintenance fallback evictions (cost model, overflow, compaction).
+    /// Maintenance fallback evictions (cost model, journal overflow).
     pub fallback_evictions: u64,
 }
 

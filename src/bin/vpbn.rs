@@ -347,7 +347,7 @@ fn run(args: &[String]) -> Result<(), VhError> {
                     .map_err(|e| VhError::io(&wal_path, e))?;
                 eprintln!(
                     "edit {} acknowledged as seq {}: {} node(s) touched, \
-                     {} slot(s) compacted",
+                     {} arena slot(s) spliced",
                     receipt.kind, receipt.seq, receipt.nodes_touched, receipt.compacted
                 );
                 let td = engine.document(&uri).expect("loaded");
@@ -636,7 +636,7 @@ fn replay_wal_file(engine: &mut Engine, path: &str) -> Result<Option<EditRecover
 /// or a mid-log replay failure is never silent.
 fn report_recovery(path: &str, rec: &EditRecovery) {
     eprintln!(
-        "recovered {path}: {} edit(s) replayed, {} skipped, {} slot(s) compacted",
+        "recovered {path}: {} edit(s) replayed, {} skipped, {} arena slot(s) spliced",
         rec.replayed, rec.skipped, rec.compacted
     );
     if rec.wal.quarantined_bytes > 0 {

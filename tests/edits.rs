@@ -11,6 +11,7 @@ use proptest::prelude::*;
 
 mod common;
 use common::{concretize, URI};
+use vpbn_suite::pbn::PbnArena;
 use vpbn_suite::query::api::{Engine, ExecOptions, QueryRequest};
 use vpbn_suite::xml::{serialize, SerializeOptions};
 
@@ -58,6 +59,19 @@ fn answers(engine: &Engine) -> Vec<Vec<String>> {
     out
 }
 
+/// The from-scratch reference for the engine's spliced arena: a fresh
+/// build over the live nodes' `(number, node)` pairs, sorted.
+fn rebuilt_arena(engine: &Engine) -> PbnArena {
+    let td = engine.document(URI).expect("registered");
+    let mut pairs: Vec<_> = td
+        .doc()
+        .preorder()
+        .map(|id| (td.pbn().pbn_of(id), id))
+        .collect();
+    pairs.sort_by(|a, b| a.0.cmp(b.0));
+    PbnArena::build(pairs, td.doc().len())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -102,9 +116,10 @@ proptest! {
                 Err(e) => prop_assert_eq!(e.code(), "QUERY_EDIT"),
             }
         }
-        // Single applies drain the delta segment eagerly; an explicit
-        // compaction pass must find nothing left to merge.
-        prop_assert_eq!(edited.compact(), 0, "apply left un-drained delta");
+        // Every apply splices the arena in place; it must equal a fresh
+        // build over the final numbering.
+        let td = edited.document(URI).expect("registered");
+        prop_assert_eq!(td.pbn().arena(), &rebuilt_arena(&edited), "apply left a stale arena");
 
         let final_xml = serialize(
             edited.document(URI).expect("registered").doc(),
@@ -127,19 +142,17 @@ proptest! {
         }
     }
 
-    /// Batched scripts (`apply_all`) with a tiny mid-batch compaction
-    /// threshold: delta segments accumulate and threshold drains fire
-    /// mid-batch, then one merged `ViewDelta` per URI routes to the warm
-    /// cache at each batch boundary. Queries run *between* batches so
-    /// maintained entries serve real reads mid-script, and the surviving
-    /// cache must still answer identically to an engine rebuilt from
-    /// scratch on the final document at 1, 2 and 8 threads.
+    /// Batched scripts (`apply_all`): one merged `ViewDelta` per URI
+    /// routes to the warm cache at each batch boundary. Queries run
+    /// *between* batches so maintained entries serve real reads
+    /// mid-script, and the surviving cache must still answer identically
+    /// to an engine rebuilt from scratch on the final document at 1, 2
+    /// and 8 threads.
     #[test]
     fn batched_edits_across_the_compaction_threshold_match_the_oracle(
         books in 1usize..6,
         seed in 0u64..400,
         script in prop::collection::vec((0u8..=255, 0u16..=u16::MAX, 0u16..=u16::MAX), 4..40),
-        threshold in 1usize..6,
         chunk in 2usize..7,
     ) {
         let cfg = vpbn_suite::workload::BooksConfig {
@@ -154,7 +167,6 @@ proptest! {
         );
         let mut edited = Engine::new();
         edited.register_xml(URI, &base_xml).expect("base registers");
-        edited.set_compact_threshold(threshold);
         // Warm every cache before the first batch.
         let _ = answers(&edited);
         for batch in script.chunks(chunk) {
@@ -168,7 +180,8 @@ proptest! {
             let _ = edited.apply_all(edits);
             let _ = answers(&edited);
         }
-        prop_assert_eq!(edited.compact(), 0, "apply_all left un-drained delta");
+        let td = edited.document(URI).expect("registered");
+        prop_assert_eq!(td.pbn().arena(), &rebuilt_arena(&edited), "apply_all left a stale arena");
 
         let final_xml = serialize(
             edited.document(URI).expect("registered").doc(),
@@ -183,9 +196,8 @@ proptest! {
             prop_assert_eq!(
                 answers(&edited),
                 answers(&rebuilt),
-                "threads={} threshold={} chunk={} script={:?}",
+                "threads={} chunk={} script={:?}",
                 threads,
-                threshold,
                 chunk,
                 script
             );

@@ -11,7 +11,7 @@
 //! Rows are matched by id. A gated row (id starts with a `--gate-prefix`;
 //! defaults in [`DEFAULT_GATE_PREFIXES`] — the axis/twig hot paths, the
 //! observability overhead, and the edit subsystem's apply and
-//! cache-maintenance rows) whose median ns/op regresses by more
+//! warm-view cache rows) whose median ns/op regresses by more
 //! than the threshold — or which disappears from the current run — fails
 //! the gate (exit 1). Everything else is logged but passes. A baseline
 //! file with no counterpart in the current directory fails iff it

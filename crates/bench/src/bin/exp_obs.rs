@@ -8,8 +8,8 @@
 //! * **bare** — the same pipeline `Engine::run` executes (parse →
 //!   warm-cache view open → FLWR evaluation) called directly, with no
 //!   observability plumbing at all: the honest no-obs baseline.
-//! * **untraced** — `Engine::run` with tracing off: the default every
-//!   `eval*` wrapper takes. The *disabled-mode overhead* is
+//! * **untraced** — `Engine::run` with tracing off: the default
+//!   request. The *disabled-mode overhead* is
 //!   untraced/bare, and the binary enforces the ≤2% budget
 //!   ([`OVERHEAD_BUDGET`]) itself: up to [`ATTEMPTS`] measurement
 //!   rounds keep the minimum observed ratio, so a noisy shared runner

@@ -11,9 +11,9 @@
 //! property, over one skewed random script (60% inserts, mostly at
 //! position 0 — the gap-minting worst case):
 //!
-//! * **throughput** — ns/edit through `Engine::apply` (one cache route
-//!   per edit) and `Engine::apply_all` (one merged route per batch).
-//!   Both splice the key arena in place on every edit.
+//! * **throughput** — ns/edit through `Engine::apply` and
+//!   `Engine::apply_all` (one call for the whole script). Both splice
+//!   the key arena in place on every edit.
 //! * **post-edit query slowdown** — the same query suite on the edited
 //!   engine vs an engine rebuilt from scratch on the final document.
 //!   The binary enforces the ≤[`SLOWDOWN_BUDGET`]x acceptance bound
@@ -25,18 +25,17 @@
 //!   write-ahead log's bytes/edit (the WAL is linear in edits by
 //!   design; it is reported, not bounded by the arena ratio).
 //!
-//! * **delta maintenance** — a vocabulary-preserving skewed stream (the
-//!   same front-gap skew, but book-shaped inserts that never mint guide
-//!   types) in writer-sized batches through an engine whose virtual
-//!   views are warm. Every batch routes one merged delta through the
-//!   `ExecCache` instead of evicting, so the suite prices (a) the
-//!   per-edit cost of routing with live views (`update/cache_maintain`)
-//!   and (b) the warm-query latency the maintained views preserve
-//!   (`update/cache_warm_query`),
-//!   self-enforced against the ≤[`CACHE_WARM_BUDGET`]x bound: queries
-//!   on views that lived through the stream may cost at most that
-//!   multiple of warm queries on a never-edited engine holding the
-//!   same final document.
+//! * **edits with warm views** — a vocabulary-preserving skewed stream
+//!   (the same front-gap skew, but book-shaped inserts that never mint
+//!   guide types) in writer-sized `apply_all` batches through an engine
+//!   whose virtual views are warm. Each structural edit evicts the
+//!   views and the next query recomputes them, so the leg prices (a)
+//!   ns per edit of `apply_all` with warm views live
+//!   (`update/cache_maintain`) and (b) the warm suite after that lazy
+//!   recompute (`update/cache_warm_query`), self-enforced against the
+//!   ≤[`CACHE_WARM_BUDGET`]x bound: queries on views that lived
+//!   through the stream may cost at most that multiple of warm queries
+//!   on a never-edited engine holding the same final document.
 //!
 //! Medians land in `BENCH_update.json`; the `update/apply/…` and
 //! `update/cache_…` rows are gated against the committed baseline like
@@ -69,26 +68,24 @@ const SLOWDOWN_BUDGET: f64 = 1.25;
 const SPACE_BUDGET: f64 = 2.0;
 
 /// Acceptance bound: warm virtual-view queries on an engine whose
-/// cached views were *maintained* through the edit stream may cost at
-/// most this multiple of warm queries on a never-edited engine holding
-/// the same final document.
+/// cached views were evicted and recomputed through the edit stream may
+/// cost at most this multiple of warm queries on a never-edited engine
+/// holding the same final document.
 const CACHE_WARM_BUDGET: f64 = 1.10;
 
-/// Edits per writer batch in the maintenance leg: large enough that
-/// routing amortizes, small enough that the delta journal never
-/// overflows into the eviction fallback.
+/// Edits per writer batch in the warm-view leg: one reader pass per
+/// batch recomputes the views the batch evicted.
 const MAINTAIN_BATCH: usize = 64;
 
-/// Length of the maintenance stream — the "1k-edit skewed stream" of
+/// Length of the warm-view stream — the "1k-edit skewed stream" of
 /// the acceptance bound, fixed across profiles so the bound always
 /// prices the same workload.
 const MAINTAIN_EDITS: usize = 1_000;
 
-/// Corpus size for the maintenance leg, fixed across profiles. Large
-/// enough that (a) the 1k-edit stream is a realistic fraction of the
-/// document rather than a wholesale rewrite, and (b) index rebuilds
-/// cost more than splices, so the cost model keeps the maintenance
-/// path — the crossover EXPERIMENTS.md documents.
+/// Corpus size for the warm-view leg, fixed across profiles. Large
+/// enough that the 1k-edit stream is a realistic fraction of the
+/// document rather than a wholesale rewrite, and that a view rebuild
+/// costs a measurable share of the reader pass.
 const MAINTAIN_BOOKS: usize = 2_000;
 
 /// Measurement rounds for the warm-query bound. The contrast sits much
@@ -105,11 +102,11 @@ const URI: &str = "books.xml";
 /// The query suite priced before/after the edit script.
 const PATHS: &[&str] = &["//book", "//name", "//book/title"];
 
-/// Sam's transformation — the virtual view the maintenance leg keeps
-/// warm across the edit stream.
+/// Sam's transformation — the virtual view the warm-view leg queries
+/// across the edit stream.
 const SPEC: &str = "title { author { name } }";
 
-/// The virtual-view query suite priced in the maintenance leg.
+/// The virtual-view query suite priced in the warm-view leg.
 const VPATHS: &[&str] = &["//title", "//name", "//title/author"];
 
 /// Splitmix-style generator so scripts are reproducible across runs.
@@ -203,12 +200,11 @@ fn skewed_edit(doc: &Document, rng: &mut Lcg) -> Option<Edit> {
     }
 }
 
-/// One vocabulary-preserving edit for the maintenance leg, with the
+/// One vocabulary-preserving edit for the warm-view leg, with the
 /// same front-gap skew as [`skewed_edit`]: 60% book inserts (mostly at
 /// position 0 of the root — the minting worst case), 20% title value
 /// rewrites, 20% book deletes. Every tag already exists in the corpus,
-/// so the stream never mints guide types and the cache's maintenance
-/// path — not the recompute fallback — absorbs it.
+/// so the stream never mints guide types or changes a view's cache key.
 fn maintain_edit(doc: &Document, rng: &mut Lcg) -> Option<Edit> {
     let root = doc.root()?;
     let (op, a, b) = (rng.next(), rng.next() as usize, rng.next() as usize);
@@ -299,8 +295,8 @@ fn suite_ns(engine: &Engine) -> f64 {
     ns
 }
 
-/// Median ns over the virtual-view suite — the queries the maintained
-/// cache serves.
+/// Median ns over the virtual-view suite — the queries the view cache
+/// serves.
 fn virt_suite_ns(engine: &Engine) -> f64 {
     let (_, ns) = median_ns_per_call(REPS, MIN_REP, || {
         let mut total = 0usize;
@@ -503,41 +499,40 @@ fn main() {
             .with("wal_bytes_per_edit", wal_per_edit),
     );
 
-    // ---------------------------------------- UPD-d: delta maintenance ---
+    // ------------------------------------- UPD-d: edits with warm views ---
     // A vocabulary-preserving skewed stream against warm virtual views:
-    // every `apply_all` batch routes one merged delta through the cache,
-    // splicing the live views in place, and an interleaved reader (one
-    // suite pass per batch, untimed) keeps them hot the way the
-    // concurrent readwrite workload does. Only the routing is timed.
-    // The leg runs on its own profile-independent corpus (see
-    // [`MAINTAIN_BOOKS`]).
+    // each structural edit of an `apply_all` batch evicts the views, and
+    // an interleaved reader (one suite pass per batch, untimed)
+    // recomputes them the way the concurrent readwrite workload does.
+    // Only `apply_all` is timed. The leg runs on its own
+    // profile-independent corpus (see [`MAINTAIN_BOOKS`]).
     let m_base_xml = serialize(
         &generate_books(URI, &BooksConfig::sized(MAINTAIN_BOOKS)),
         SerializeOptions::compact(),
     );
     let m_script = build_script(&m_base_xml, MAINTAIN_EDITS, 0xcac4e, maintain_edit);
-    let mut maintained = Engine::new();
-    maintained.set_exec_options(opts.exec());
-    maintained
+    let mut edited = Engine::new();
+    edited.set_exec_options(opts.exec());
+    edited
         .register_xml(URI, &m_base_xml)
-        .expect("maintenance base registers");
+        .expect("warm-view base registers");
     for p in VPATHS {
-        maintained
+        edited
             .run(&QueryRequest::virtual_path(URI, SPEC, *p))
             .expect("warm query runs");
     }
-    let mut route_ns_total = 0u128;
+    let mut apply_ns_total = 0u128;
     for chunk in m_script.chunks(MAINTAIN_BATCH) {
-        let (_, d) = time(|| maintained.apply_all(chunk.to_vec()).expect("batch applies"));
-        route_ns_total += d.as_nanos();
+        let (_, d) = time(|| edited.apply_all(chunk.to_vec()).expect("batch applies"));
+        apply_ns_total += d.as_nanos();
         for p in VPATHS {
-            maintained
+            edited
                 .run(&QueryRequest::virtual_path(URI, SPEC, *p))
                 .expect("reader query runs");
         }
     }
-    let maintain_ns = route_ns_total as f64 / m_script.len() as f64;
-    let snap = maintained.snapshot().cache;
+    let edit_ns = apply_ns_total as f64 / m_script.len() as f64;
+    let snap = edited.snapshot().cache;
 
     // Warm-query contrast: the engine whose views lived through the
     // stream vs a never-edited engine registered with the same final
@@ -545,7 +540,7 @@ fn main() {
     // kept so runner noise retries while a real regression keeps
     // failing.
     let m_final_xml = serialize(
-        maintained.document(URI).expect("registered").doc(),
+        edited.document(URI).expect("registered").doc(),
         SerializeOptions::compact(),
     );
     let mut pristine = Engine::new();
@@ -556,17 +551,17 @@ fn main() {
     // Pre-warm both engines (views, allocator, branch predictors)
     // before anything is timed.
     for _ in 0..2 {
-        let _ = virt_suite_ns(&maintained);
+        let _ = virt_suite_ns(&edited);
         let _ = virt_suite_ns(&pristine);
     }
     let mut t = Table::new(
-        "UPD-d: delta maintenance — ns/edit with warm views, and the warm suite after",
-        &["attempt", "maintained_ns", "pristine_ns", "warm_x"],
+        "UPD-d: edits with warm views — the warm suite after lazy recompute",
+        &["attempt", "edited_ns", "pristine_ns", "warm_x"],
     );
     let mut warm_best = f64::INFINITY;
     let (mut warm_edited, mut warm_pristine) = (0.0, 0.0);
     for attempt in 1..=CACHE_ATTEMPTS {
-        let edited_ns = virt_suite_ns(&maintained);
+        let edited_ns = virt_suite_ns(&edited);
         let pristine_ns = virt_suite_ns(&pristine);
         let x = edited_ns / pristine_ns.max(1.0);
         t.row(&[
@@ -586,30 +581,20 @@ fn main() {
     }
     t.print();
     let mut t = Table::new(
-        "UPD-d: cache routing counters over the stream",
-        &[
-            "edits",
-            "route_ns_per_edit",
-            "maintained",
-            "recomputed",
-            "fallback_evictions",
-        ],
+        "UPD-d: apply_all with warm views live, and the entries the edits evicted",
+        &["edits", "apply_all_ns_per_edit", "recomputed"],
     );
     t.row(&[
         m_script.len().to_string(),
-        format!("{maintain_ns:.0}"),
-        snap.maintained.to_string(),
+        format!("{edit_ns:.0}"),
         snap.recomputed.to_string(),
-        snap.fallback_evictions.to_string(),
     ]);
     t.print();
 
     report.push(
-        BenchRow::new("update/cache_maintain/edit_ns", maintain_ns)
-            .with("edits_per_s", 1e9 / maintain_ns)
-            .with("views_maintained", snap.maintained as f64)
-            .with("views_recomputed", snap.recomputed as f64)
-            .with("fallback_evictions", snap.fallback_evictions as f64),
+        BenchRow::new("update/cache_maintain/edit_ns", edit_ns)
+            .with("edits_per_s", 1e9 / edit_ns)
+            .with("views_recomputed", snap.recomputed as f64),
     );
     report.push(
         BenchRow::new("update/cache_warm_query/edited", warm_edited)
@@ -649,7 +634,7 @@ fn main() {
     }
     if warm_best > CACHE_WARM_BUDGET {
         eprintln!(
-            "error: warm queries on maintained views run at {warm_best:.3}x the never-edited \
+            "error: warm queries on edited views run at {warm_best:.3}x the never-edited \
              warm baseline, over the {CACHE_WARM_BUDGET}x acceptance bound after \
              {CACHE_ATTEMPTS} attempts"
         );
@@ -661,8 +646,8 @@ fn main() {
     println!(
         "acceptance: after {applied} skewed edits queries run at {best:.3}x a fresh rebuild \
          (bound {SLOWDOWN_BUDGET}x), the arena sits at {arena_x:.3}x (bound {SPACE_BUDGET}x), \
-         warm maintained views at {warm_best:.3}x (bound {CACHE_WARM_BUDGET}x, \
-         {} views spliced in place); the log costs {wal_per_edit:.1} B/edit",
-        snap.maintained
+         warm recomputed views at {warm_best:.3}x (bound {CACHE_WARM_BUDGET}x, \
+         {} entries evicted); the log costs {wal_per_edit:.1} B/edit",
+        snap.recomputed
     );
 }

@@ -20,27 +20,18 @@
 //! lock. Hit/miss/eviction/invalidation counters are surfaced through
 //! [`CacheStats`] alongside the storage layer's `StorageStats`.
 //!
-//! ## Delta-aware maintenance
+//! ## Edits evict, views recompute
 //!
-//! Since PR 6 documents are mutable, and a cache that evicts a URI's
-//! every artifact per edit re-pays the full compile-and-index cost the
-//! virtual-hierarchy design exists to avoid. The maintenance layer here
-//! keeps warm entries warm: the engine derives a [`ViewDelta`] from each
-//! committed edit batch (the dataguide edit journal plus the guide's
-//! new-type tail) and [`ExecCache::route_delta`] walks the URI's entries,
-//! asking each artifact to [`MaintainView::maintain`] itself. The three
-//! guide-shaped artifacts are pure functions of `(spec, guide)` and
-//! survive untouched whenever the delta provably cannot change their
-//! recompile ([`VDataGuide::unaffected_by`]); the per-node [`TypeIndex`]
-//! is spliced in place. A [`MaintenancePolicy`] cost model (delta size
-//! vs. entry size vs. the observed rebuild time fed back by the engine)
-//! falls back to eviction when maintenance would be slower, and an
-//! overflowed journal falls back to full eviction — both counted as
-//! `fallback_evictions`. Maintained
-//! entries are re-keyed to the post-edit guide fingerprint and stamped
-//! ([`Stamped`]) with the document generation, so a stale entry can
-//! never satisfy a lookup even when an edit leaves the fingerprint
-//! unchanged (inserting already-interned types does exactly that).
+//! Documents are mutable, and an edit that adds or removes numbered nodes
+//! can change every artifact of the URI — the per-node index always, the
+//! guide-shaped three whenever it interns a new type.
+//! [`ExecCache::evict_edited`] drops every entry of the edited URI through
+//! the same [`ExecCache::invalidate_uri`] that re-registration uses, and
+//! the next query rebuilds each artifact with its one constructor.
+//! Deriving a view is cheap by design (level arrays are per type, the
+//! index is one pass in document order), so an edit costs nothing per
+//! warm view and the first query after it pays one rebuild per view it
+//! opens.
 
 use crate::levels::LevelMap;
 use crate::range::PrefixTables;
@@ -50,7 +41,7 @@ use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
-use vh_dataguide::{DataGuide, TouchedNode, TypeId, TypedDocument};
+use vh_dataguide::DataGuide;
 
 /// Number of independent mutex-protected shards per map.
 const SHARDS: usize = 8;
@@ -172,41 +163,6 @@ impl<K: Hash + Eq + Clone, V: Clone> ShardedLru<K, V> {
         Ok(v)
     }
 
-    /// Looks up `key` without touching recency or the hit/miss counters —
-    /// the maintenance path inspects entries without skewing the stats
-    /// queries see.
-    pub fn peek(&self, key: &K) -> Option<V> {
-        self.shard_for(key).entries.get(key).map(|(_, v)| v.clone())
-    }
-
-    /// Removes `key` without counting an invalidation (used to re-key a
-    /// maintained entry, which is a move, not a drop).
-    pub fn take(&self, key: &K) -> Option<V> {
-        self.shard_for(key).entries.remove(key).map(|(_, v)| v)
-    }
-
-    /// Removes `key`, counting an invalidation when it was present.
-    pub fn remove(&self, key: &K) -> Option<V> {
-        let v = self.take(key);
-        if v.is_some() {
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
-        }
-        v
-    }
-
-    /// The keys currently cached that satisfy `f`.
-    pub fn keys_matching(&self, f: impl Fn(&K) -> bool) -> Vec<K> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let shard = match shard.lock() {
-                Ok(g) => g,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            out.extend(shard.entries.keys().filter(|k| f(k)).cloned());
-        }
-        out
-    }
-
     /// Removes every entry whose key fails `keep`, counting the removals
     /// as invalidations. Returns how many entries were dropped.
     pub fn retain(&self, keep: impl Fn(&K) -> bool) -> usize {
@@ -307,12 +263,12 @@ pub struct CacheStats {
     pub tables: CacheCounters,
     /// Per-type node-index cache.
     pub indexes: CacheCounters,
-    /// Entries kept alive across edits by delta maintenance.
+    /// Always 0: edits evict instead of patching entries. Kept so the
+    /// snapshot's JSON shape stays stable for wire clients.
     pub maintained: u64,
-    /// Entries a delta invalidated (recomputed on their next open).
+    /// Entries an edit evicted (each is recomputed on its view's next open).
     pub recomputed: u64,
-    /// Entries dropped by the maintenance fallback: the cost model chose
-    /// recomputation or the journal overflowed.
+    /// Always 0, for the same reason as `maintained`.
     pub fallback_evictions: u64,
 }
 
@@ -373,217 +329,23 @@ pub fn guide_fingerprint(guide: &DataGuide) -> u64 {
     h.finish()
 }
 
-// ------------------------------------------------- delta maintenance ---
-
-/// A compact description of what one committed edit batch changed in a
-/// document, derived by the engine from the dataguide edit journal and
-/// the edited arena, and routed to the URI's cached entries by
-/// [`ExecCache::route_delta`] instead of evicting them.
-#[derive(Clone, Debug, Default)]
-pub struct ViewDelta {
-    /// The edited document's URI.
-    pub uri: String,
-    /// Guide fingerprint before the batch — live entries are keyed by it.
-    pub old_fp: u64,
-    /// Guide fingerprint after the batch — maintained entries are re-keyed
-    /// to it (equal to `old_fp` when no new types interned).
-    pub new_fp: u64,
-    /// Document generation after the batch; maintained entries are
-    /// restamped with it.
-    pub gen: u64,
-    /// Guide types the batch interned (the contiguous tail of the type
-    /// table — a strong DataGuide only grows).
-    pub new_types: Vec<TypeId>,
-    /// Node-level touches in chronological order.
-    pub touched: Vec<TouchedNode>,
-    /// Encoded byte-key bounds spanning every touched node's number at
-    /// touch time (`None` for value-only batches).
-    pub key_range: Option<(Vec<u8>, Vec<u8>)>,
-    /// Post-drain arena slot bracket of the touched nodes still alive
-    /// (`None` when none survive).
-    pub slot_range: Option<(usize, usize)>,
-    /// The edit journal overflowed: `touched` is incomplete and every
-    /// entry for the URI must fall back to eviction.
-    pub overflowed: bool,
-}
-
-/// A cached value tagged with the document generation it reflects and
-/// whether its last producer was delta maintenance (vs. a fresh compute).
-/// The stamp is the second staleness guard behind the [`ViewKey`]
-/// fingerprint: an edit that only re-interns existing types leaves the
-/// fingerprint unchanged while still moving nodes, so lookups compare
-/// generations too.
-#[derive(Clone, Debug)]
-pub struct Stamped<V> {
-    /// Document generation this value is valid for.
-    pub gen: u64,
-    /// True when the value last survived an edit via
-    /// [`MaintainView::maintain`] rather than a fresh compute.
-    pub maintained: bool,
-    /// The artifact itself.
-    pub value: V,
-}
-
-impl<V> Stamped<V> {
-    /// Stamps a freshly computed value for generation `gen`.
-    pub fn fresh(gen: u64, value: V) -> Self {
-        Stamped {
-            gen,
-            maintained: false,
-            value,
-        }
-    }
-}
-
-/// Verdict of one maintenance attempt.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Maintained<T> {
-    /// The delta cannot change the artifact; keep the cached value.
-    Unchanged,
-    /// The artifact was spliced into an updated value.
-    Replaced(T),
-    /// The delta invalidates the artifact; recompute on the next open.
-    MustRecompute,
-}
-
-/// Context handed to [`MaintainView::maintain`]: the document *after* the
-/// batch and the entry's own compiled expansion.
-pub struct MaintainCtx<'a> {
-    /// The edited document.
-    pub td: &'a TypedDocument,
-    /// The compiled expansion of the entry's view.
-    pub vdg: &'a VDataGuide,
-}
-
-/// Delta maintenance for one cached artifact family: given what an edit
-/// batch changed, produce the artifact's post-edit value — or declare
-/// that only a recompute can. Every implementation must keep a
-/// recompute-oracle test twin in its own file (`// oracle: <name>`,
-/// enforced by the vh-vet `oracle-twin` lint): the twin rebuilds the
-/// artifact from scratch and proves the maintained value identical.
-pub trait MaintainView: Sized {
-    /// Maintains `self` under `delta`, or returns
-    /// [`Maintained::MustRecompute`].
-    fn maintain(&self, delta: &ViewDelta, ctx: &MaintainCtx<'_>) -> Maintained<Self>;
-}
-
-/// The cost model deciding whether splicing a delta into a per-node
-/// artifact beats recomputing it. Estimated maintenance cost is a clone
-/// of the entry plus a binary-search insert per journal op; estimated
-/// rebuild cost is the engine-observed rebuild time for the artifact
-/// family when available (EWMA, fed by [`ExecCache::note_rebuild`]), or
-/// a per-node constant until one is observed.
-#[derive(Clone, Copy, Debug)]
-pub struct MaintenancePolicy {
-    /// Estimated cost of cloning one indexed node during a splice (ns).
-    pub clone_node_ns: u64,
-    /// Estimated cost of one journal-op splice (ns).
-    pub splice_op_ns: u64,
-    /// Assumed per-node rebuild cost before any observation (ns).
-    pub rebuild_node_ns: u64,
-}
-
-impl Default for MaintenancePolicy {
-    fn default() -> Self {
-        MaintenancePolicy {
-            clone_node_ns: 2,
-            splice_op_ns: 200,
-            rebuild_node_ns: 20,
-        }
-    }
-}
-
-impl MaintenancePolicy {
-    /// True when maintaining an entry of `entry_nodes` nodes under a
-    /// delta of `delta_ops` journal ops is estimated cheaper than the
-    /// rebuild (`observed_rebuild_ns` = 0 means "never observed").
-    pub fn should_maintain(
-        &self,
-        delta_ops: usize,
-        entry_nodes: usize,
-        observed_rebuild_ns: u64,
-    ) -> bool {
-        if delta_ops == 0 {
-            return true;
-        }
-        let maintain =
-            entry_nodes as u64 * self.clone_node_ns + delta_ops as u64 * self.splice_op_ns;
-        let rebuild = if observed_rebuild_ns > 0 {
-            observed_rebuild_ns
-        } else {
-            entry_nodes as u64 * self.rebuild_node_ns
-        };
-        maintain <= rebuild
-    }
-}
-
-/// The four artifact families of the cache, for rebuild-time feedback.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Artifact {
-    /// vDataGuide expansions.
-    Expansions,
-    /// Level maps.
-    Levels,
-    /// Prefix tables.
-    Tables,
-    /// Per-type node indexes.
-    Indexes,
-}
-
-/// What routing one [`ViewDelta`] did to its URI's cached entries.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RouteOutcome {
-    /// Entries kept alive (updated in place or proven unchanged).
-    pub maintained: u64,
-    /// Entries the delta invalidated; recomputed on their next open.
-    pub recomputed: u64,
-    /// Entries dropped by the cost model or an overflowed journal even
-    /// though the delta was routable.
-    pub fallback_evictions: u64,
-}
-
 /// The engine-wide artifact cache: one [`ShardedLru`] per compiled-view
 /// artifact, shared across queries (and across threads — the whole struct
 /// is `Sync`).
 pub struct ExecCache {
     /// Expanded virtual guides keyed by view.
-    pub expansions: ShardedLru<ViewKey, Stamped<Arc<VDataGuide>>>,
+    pub expansions: ShardedLru<ViewKey, Arc<VDataGuide>>,
     /// Algorithm-1 level maps keyed by view.
-    pub levels: ShardedLru<ViewKey, Stamped<Arc<LevelMap>>>,
+    pub levels: ShardedLru<ViewKey, Arc<LevelMap>>,
     /// Precomputed scan-range prefix tables keyed by view.
-    pub tables: ShardedLru<ViewKey, Stamped<Arc<PrefixTables>>>,
+    pub tables: ShardedLru<ViewKey, Arc<PrefixTables>>,
     /// Per-type node indexes keyed by view. Unlike the other artifacts this
-    /// depends on the document's *nodes*, not just its guide; deltas are
-    /// spliced into it by [`ExecCache::route_delta`], and
-    /// [`ExecCache::invalidate_uri`] on re-register keeps a re-registered
-    /// same-shaped document from serving a stale index.
-    pub indexes: ShardedLru<ViewKey, Stamped<Arc<TypeIndex>>>,
-    /// Maintain-vs-recompute cost model for the per-node index.
-    policy: MaintenancePolicy,
-    /// EWMA observed rebuild nanoseconds per artifact family
-    /// (expansions, levels, tables, indexes).
-    rebuild_ns: [AtomicU64; 4],
-    maintained: AtomicU64,
+    /// depends on the document's *nodes*, not just its guide, so an edit
+    /// that inserts already-interned types leaves the key unchanged while
+    /// moving nodes — [`ExecCache::evict_edited`] is what keeps it fresh.
+    pub indexes: ShardedLru<ViewKey, Arc<TypeIndex>>,
+    /// Entries evicted by [`ExecCache::evict_edited`].
     recomputed: AtomicU64,
-    fallback_evictions: AtomicU64,
-    /// Seqlock-style generation stamp over the maintenance counters: odd
-    /// while a delta route or fallback invalidation is mid-flight,
-    /// bumped to even when it commits. [`ExecCache::stats`] retries
-    /// until it reads the same even epoch on both sides, so a snapshot
-    /// can never observe a half-applied batch (entries dropped but the
-    /// maintained/recomputed totals not yet accounted).
-    epoch: AtomicU64,
-}
-
-/// RAII writer section of the [`ExecCache`] epoch seqlock: entering makes
-/// the epoch odd, dropping makes it even again (panic-safe — a poisoned
-/// route still closes its epoch, leaving readers live).
-struct EpochWriter<'a>(&'a AtomicU64);
-
-impl Drop for EpochWriter<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_add(1, Ordering::Release);
-    }
 }
 
 impl ExecCache {
@@ -595,34 +357,8 @@ impl ExecCache {
             levels: ShardedLru::new(capacity),
             tables: ShardedLru::new(capacity),
             indexes: ShardedLru::new(capacity),
-            policy: MaintenancePolicy::default(),
-            rebuild_ns: [
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-            ],
-            maintained: AtomicU64::new(0),
             recomputed: AtomicU64::new(0),
-            fallback_evictions: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
         }
-    }
-
-    /// Opens a maintenance writer section: the epoch goes odd until the
-    /// returned guard drops. Sections never nest — `route_delta` opens
-    /// exactly one.
-    fn begin_maintenance(&self) -> EpochWriter<'_> {
-        self.epoch.fetch_add(1, Ordering::Acquire);
-        EpochWriter(&self.epoch)
-    }
-
-    /// The current maintenance epoch: even when quiescent, odd while a
-    /// delta route or fallback invalidation is in flight. Composite
-    /// readers (e.g. `Engine::snapshot`) can bracket multi-field reads
-    /// with two calls and retry on a mismatch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
     }
 
     /// Evicts every artifact compiled for `uri` (all specs, all guide
@@ -634,117 +370,13 @@ impl ExecCache {
             + self.indexes.retain(|k| k.uri != uri)
     }
 
-    /// The maintenance hard fallback: evicts everything for `uri` and
-    /// counts the drops as fallback evictions. Callers (the delta router)
-    /// are already inside a writer section.
-    fn fallback_invalidate(&self, uri: &str) -> usize {
+    /// [`ExecCache::invalidate_uri`] for an edit that spliced numbered
+    /// nodes into or out of `uri`: the drops also count as `recomputed`,
+    /// since each evicted artifact is rebuilt by its view's next open.
+    pub fn evict_edited(&self, uri: &str) -> usize {
         let dropped = self.invalidate_uri(uri);
-        self.fallback_evictions
-            .fetch_add(dropped as u64, Ordering::Relaxed);
+        self.recomputed.fetch_add(dropped as u64, Ordering::Relaxed);
         dropped
-    }
-
-    /// Feeds one observed from-scratch rebuild time (ns) into the cost
-    /// model's per-family EWMA.
-    pub fn note_rebuild(&self, artifact: Artifact, ns: u64) {
-        let cell = &self.rebuild_ns[artifact as usize];
-        let old = cell.load(Ordering::Relaxed);
-        let next = if old == 0 { ns } else { (3 * old + ns) / 4 };
-        cell.store(next, Ordering::Relaxed);
-    }
-
-    /// The EWMA observed rebuild time of one artifact family (0 until
-    /// observed).
-    pub fn observed_rebuild_ns(&self, artifact: Artifact) -> u64 {
-        self.rebuild_ns[artifact as usize].load(Ordering::Relaxed)
-    }
-
-    /// The maintain-vs-recompute cost model in force.
-    pub fn policy(&self) -> MaintenancePolicy {
-        self.policy
-    }
-
-    /// Replaces the maintain-vs-recompute cost model.
-    pub fn set_policy(&mut self, policy: MaintenancePolicy) {
-        self.policy = policy;
-    }
-
-    /// Routes one edit-batch delta to every cached entry of its URI:
-    /// maintainable entries are updated (and re-keyed to the post-edit
-    /// fingerprint, restamped with the new generation), entries the delta
-    /// invalidates are dropped for recomputation, and entries whose
-    /// maintenance the cost model rejects are dropped as fallback
-    /// evictions. `td` is the document *after* the batch.
-    pub fn route_delta(&self, delta: &ViewDelta, td: &TypedDocument) -> RouteOutcome {
-        let _epoch = self.begin_maintenance();
-        let mut out = RouteOutcome::default();
-        if delta.overflowed {
-            out.fallback_evictions = self.fallback_invalidate(&delta.uri) as u64;
-            return out;
-        }
-        let of_uri = |k: &ViewKey| k.uri == delta.uri;
-        let mut keys: Vec<ViewKey> = Vec::new();
-        for k in self
-            .expansions
-            .keys_matching(of_uri)
-            .into_iter()
-            .chain(self.levels.keys_matching(of_uri))
-            .chain(self.tables.keys_matching(of_uri))
-            .chain(self.indexes.keys_matching(of_uri))
-        {
-            if !keys.contains(&k) {
-                keys.push(k);
-            }
-        }
-        for key in keys {
-            if key.guide != delta.old_fp {
-                // A leftover keyed under an older guide shape: no future
-                // lookup can reach it, so drop it as a plain invalidation.
-                self.drop_key(&key);
-                continue;
-            }
-            let Some(exp) = self.expansions.peek(&key) else {
-                // The expansion fell out of the LRU; its dependents cannot
-                // be re-validated without it.
-                out.recomputed += self.drop_key(&key) as u64;
-                continue;
-            };
-            let ctx = MaintainCtx {
-                td,
-                vdg: &exp.value,
-            };
-            let new_key = ViewKey::new(key.uri.clone(), delta.new_fp, key.spec.clone());
-            route_one(&self.expansions, &key, &new_key, delta, &ctx, &mut out);
-            route_one(&self.levels, &key, &new_key, delta, &ctx, &mut out);
-            route_one(&self.tables, &key, &new_key, delta, &ctx, &mut out);
-            // The per-node index additionally passes the cost model.
-            if let Some(idx) = self.indexes.peek(&key) {
-                let affordable = self.policy.should_maintain(
-                    delta.touched.len(),
-                    idx.value.total_nodes(),
-                    self.observed_rebuild_ns(Artifact::Indexes),
-                );
-                if affordable {
-                    route_one(&self.indexes, &key, &new_key, delta, &ctx, &mut out);
-                } else {
-                    self.indexes.remove(&key);
-                    out.fallback_evictions += 1;
-                }
-            }
-        }
-        self.maintained.fetch_add(out.maintained, Ordering::Relaxed);
-        self.recomputed.fetch_add(out.recomputed, Ordering::Relaxed);
-        self.fallback_evictions
-            .fetch_add(out.fallback_evictions, Ordering::Relaxed);
-        out
-    }
-
-    /// Drops `key` from all four maps; returns how many entries existed.
-    fn drop_key(&self, key: &ViewKey) -> usize {
-        usize::from(self.expansions.remove(key).is_some())
-            + usize::from(self.levels.remove(key).is_some())
-            + usize::from(self.tables.remove(key).is_some())
-            + usize::from(self.indexes.remove(key).is_some())
     }
 
     /// Drops everything, without counting invalidations.
@@ -755,70 +387,15 @@ impl ExecCache {
         self.indexes.clear();
     }
 
-    /// Counter snapshot across the four artifact maps, taken under a
-    /// stable maintenance epoch: if a delta route or fallback
-    /// invalidation is in flight (epoch odd) or commits mid-read (epoch
-    /// moved), the read retries, so the returned stats never mix
-    /// pre-batch entry counts with post-batch maintenance totals.
+    /// Counter snapshot across the four artifact maps.
     pub fn stats(&self) -> CacheStats {
-        loop {
-            let before = self.epoch();
-            if before % 2 == 1 {
-                std::hint::spin_loop();
-                continue;
-            }
-            let stats = CacheStats {
-                expansions: self.expansions.counters(),
-                levels: self.levels.counters(),
-                tables: self.tables.counters(),
-                indexes: self.indexes.counters(),
-                maintained: self.maintained.load(Ordering::Relaxed),
-                recomputed: self.recomputed.load(Ordering::Relaxed),
-                fallback_evictions: self.fallback_evictions.load(Ordering::Relaxed),
-            };
-            if self.epoch() == before {
-                return stats;
-            }
-        }
-    }
-}
-
-/// Routes one delta through one artifact map entry: maintained values are
-/// re-keyed to `new_key` and restamped, invalidated ones dropped.
-fn route_one<T: MaintainView>(
-    map: &ShardedLru<ViewKey, Stamped<Arc<T>>>,
-    key: &ViewKey,
-    new_key: &ViewKey,
-    delta: &ViewDelta,
-    ctx: &MaintainCtx<'_>,
-    out: &mut RouteOutcome,
-) {
-    let Some(entry) = map.peek(key) else {
-        return;
-    };
-    let kept = match entry.value.maintain(delta, ctx) {
-        Maintained::Unchanged => Some(entry.value),
-        Maintained::Replaced(v) => Some(Arc::new(v)),
-        Maintained::MustRecompute => None,
-    };
-    match kept {
-        Some(value) => {
-            if new_key != key {
-                map.take(key);
-            }
-            map.insert(
-                new_key.clone(),
-                Stamped {
-                    gen: delta.gen,
-                    maintained: true,
-                    value,
-                },
-            );
-            out.maintained += 1;
-        }
-        None => {
-            map.remove(key);
-            out.recomputed += 1;
+        CacheStats {
+            expansions: self.expansions.counters(),
+            levels: self.levels.counters(),
+            tables: self.tables.counters(),
+            indexes: self.indexes.counters(),
+            recomputed: self.recomputed.load(Ordering::Relaxed),
+            ..CacheStats::default()
         }
     }
 }
@@ -887,14 +464,23 @@ mod tests {
             &VDataGuide::compile("data { ** }", &test_guide()).unwrap(),
             &test_guide(),
         ));
-        cache.levels.insert(a.clone(), Stamped::fresh(0, g.clone()));
-        cache.levels.insert(b.clone(), Stamped::fresh(0, g));
+        cache.levels.insert(a.clone(), g.clone());
+        cache.levels.insert(b.clone(), g);
         assert_eq!(cache.invalidate_uri("a.xml"), 1);
         assert_eq!(cache.levels.len(), 1);
         assert!(cache.levels.get(&a).is_none());
         assert!(cache.levels.get(&b).is_some());
         assert_eq!(cache.stats().levels.invalidations, 1);
         assert_eq!(cache.stats().total_invalidations(), 1);
+        assert_eq!(
+            cache.stats().recomputed,
+            0,
+            "re-registration is not an edit"
+        );
+        // An edit evicts through the same rule and counts the drops.
+        assert_eq!(cache.evict_edited("b.xml"), 1);
+        assert!(cache.levels.is_empty());
+        assert_eq!(cache.stats().recomputed, 1);
     }
 
     #[test]
@@ -905,59 +491,6 @@ mod tests {
         let (other, _) =
             DataGuide::from_document(&vh_xml::parse("mem://t", "<data><extra/></data>").unwrap());
         assert_ne!(guide_fingerprint(&g1), guide_fingerprint(&other));
-    }
-
-    #[test]
-    fn stats_waits_for_an_in_flight_maintenance_section() {
-        // Regression: a snapshot taken while a delta route was mid-flight
-        // used to mix pre-batch entry counts with post-batch totals. Open
-        // a writer section, mutate one counter "mid-batch", and prove a
-        // concurrent stats() call holds until the section commits — then
-        // returns both mutations or neither, never a torn mixture.
-        let cache = ExecCache::new(16);
-        let guard = cache.begin_maintenance();
-        cache.maintained.fetch_add(1, Ordering::Relaxed);
-        let done = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            let reader = s.spawn(|| {
-                let stats = cache.stats();
-                done.store(1, Ordering::Release);
-                stats
-            });
-            std::thread::sleep(std::time::Duration::from_millis(50));
-            assert_eq!(
-                done.load(Ordering::Acquire),
-                0,
-                "stats() returned inside an open maintenance section"
-            );
-            cache.recomputed.fetch_add(1, Ordering::Relaxed);
-            drop(guard);
-            let stats = reader.join().unwrap_or_else(|_| unreachable!("reader"));
-            assert_eq!(
-                (stats.maintained, stats.recomputed),
-                (1, 1),
-                "snapshot observed a half-applied batch"
-            );
-        });
-        assert_eq!(cache.epoch() % 2, 0, "section left the epoch odd");
-    }
-
-    #[test]
-    fn maintenance_entry_points_each_close_their_epoch() {
-        let cache = ExecCache::new(16);
-        assert_eq!(cache.epoch(), 0);
-        let delta = ViewDelta {
-            uri: "a.xml".into(),
-            overflowed: true,
-            ..ViewDelta::default()
-        };
-        let td = TypedDocument::analyze(vh_xml::builder::paper_figure2());
-        cache.route_delta(&delta, &td);
-        assert_eq!(
-            cache.epoch(),
-            2,
-            "overflow route (which falls back internally) must open exactly one section"
-        );
     }
 
     #[test]

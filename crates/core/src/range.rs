@@ -196,24 +196,6 @@ impl PrefixTables {
     }
 }
 
-// oracle: rebuild_tables_oracle
-impl crate::cache::MaintainView for PrefixTables {
-    fn maintain(
-        &self,
-        delta: &crate::cache::ViewDelta,
-        ctx: &crate::cache::MaintainCtx<'_>,
-    ) -> crate::cache::Maintained<Self> {
-        // Prefix tables depend only on (vdg, levels, original guide); both
-        // inputs are unchanged exactly when the expansion itself is, so the
-        // verdict delegates to the expansion's soundness check.
-        if ctx.vdg.unaffected_by(&delta.new_types, ctx.td.guide()) {
-            crate::cache::Maintained::Unchanged
-        } else {
-            crate::cache::Maintained::MustRecompute
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,64 +309,6 @@ mod tests {
         let r = ScanRange::full();
         assert!(r.contains(&pbn![1]));
         assert!(r.contains(&pbn![42, 7]));
-    }
-
-    /// Recompute oracle for [`PrefixTables::maintain`]: a from-scratch
-    /// rebuild over the current guide, which an `Unchanged` verdict must
-    /// match.
-    fn rebuild_tables_oracle(
-        vdg: &VDataGuide,
-        levels: &LevelMap,
-        original: &DataGuide,
-    ) -> PrefixTables {
-        PrefixTables::build(vdg, levels, original)
-    }
-
-    #[test]
-    fn maintained_prefix_tables_match_the_rebuild_oracle() {
-        use crate::cache::{MaintainCtx, MaintainView, Maintained, ViewDelta};
-        use vh_dataguide::TypedDocument;
-
-        let mut td = TypedDocument::analyze(paper_figure2());
-        let v = VDataGuide::compile("title { author { name } }", td.guide()).unwrap();
-        let m = LevelMap::build(&v, td.guide());
-        let tables = PrefixTables::build(&v, &m, td.guide());
-
-        // New type under an invisible parent: the tables survive and must
-        // equal what a rebuild over the grown guide produces.
-        let publisher = td
-            .guide()
-            .lookup_path(&["data", "book", "publisher"])
-            .unwrap();
-        let p = td.nodes_of_type(publisher)[0];
-        td.insert_fragment(p, 0, "<note>x</note>").unwrap();
-        let delta = td.take_delta();
-        assert!(!delta.new_types.is_empty());
-        let vd = ViewDelta {
-            new_types: delta.new_types,
-            ..ViewDelta::default()
-        };
-        let ctx = MaintainCtx { td: &td, vdg: &v };
-        match tables.maintain(&vd, &ctx) {
-            Maintained::Unchanged => {
-                assert_eq!(tables, rebuild_tables_oracle(&v, &m, td.guide()));
-            }
-            _ => panic!("invisible-parent insert must keep the prefix tables"),
-        }
-
-        // New type whose name collides with a spec label tail: recompute.
-        let t = td.nodes_of_type(publisher)[0];
-        td.insert_fragment(t, 0, "<name>dup</name>").unwrap();
-        let delta = td.take_delta();
-        let vd = ViewDelta {
-            new_types: delta.new_types,
-            ..ViewDelta::default()
-        };
-        let ctx = MaintainCtx { td: &td, vdg: &v };
-        assert!(matches!(
-            tables.maintain(&vd, &ctx),
-            Maintained::MustRecompute
-        ));
     }
 
     #[test]

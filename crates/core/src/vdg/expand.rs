@@ -125,62 +125,6 @@ impl VDataGuide {
     pub fn level(&self, vt: VTypeId) -> usize {
         self.vguide.length(vt)
     }
-
-    /// True when freshly interned guide types provably cannot change what
-    /// `VDataGuide::compile(spec, original)` would produce, so this cached
-    /// expansion stays valid under the grown guide.
-    ///
-    /// A new type `t` is harmless iff **both** hold:
-    /// * its parent is invisible in this view (no virtual type) — a
-    ///   visible parent could pull `t` in through the implicit `#text`
-    ///   rule, an identity region, or a `*`/`**` item, and could flip an
-    ///   `is_identity_below` completeness flag;
-    /// * its name is not the last segment of any spec label — label
-    ///   resolution is path-*suffix* based, so a same-named new type could
-    ///   change (or ambiguate) what a label resolves to, and the recompile
-    ///   must happen even if only to surface that error.
-    ///
-    /// Conservative by design: a `false` only costs a recompute.
-    pub fn unaffected_by(&self, new_types: &[TypeId], original: &DataGuide) -> bool {
-        if new_types.is_empty() {
-            return true;
-        }
-        let tails: Vec<&str> = self
-            .spec
-            .labels()
-            .iter()
-            .map(|l| l.rsplit('.').next().unwrap_or(l))
-            .collect();
-        new_types.iter().all(|&t| {
-            let ty = original.ty(t);
-            let parent_visible = match ty.parent() {
-                Some(p) => self.vtype_of(p).is_some(),
-                // A parentless new type would be a new root; mutations
-                // never mint one, but recompute if something ever does.
-                None => true,
-            };
-            !parent_visible && !tails.contains(&ty.name())
-        })
-    }
-}
-
-/// An expansion is a pure function of `(spec, original guide)`: it stays
-/// valid under an edit batch exactly when the batch's new types cannot
-/// change a recompile ([`VDataGuide::unaffected_by`]); any other delta
-/// content (node touches) is irrelevant to it.
-// oracle: recompile_expansion_oracle
-impl crate::cache::MaintainView for VDataGuide {
-    fn maintain(
-        &self,
-        delta: &crate::cache::ViewDelta,
-        ctx: &crate::cache::MaintainCtx<'_>,
-    ) -> crate::cache::Maintained<Self> {
-        if self.unaffected_by(&delta.new_types, ctx.td.guide()) {
-            crate::cache::Maintained::Unchanged
-        } else {
-            crate::cache::Maintained::MustRecompute
-        }
-    }
 }
 
 impl VdgSpec {
@@ -564,65 +508,5 @@ mod tests {
         assert_eq!(v.guide().name(author), "author");
         assert_eq!(v.level(author), 3);
         assert_eq!(g.path_string(v.original_type(author)), "data.book.author");
-    }
-
-    /// Recompute-oracle twin for `MaintainView for VDataGuide`: what the
-    /// cache would rebuild from scratch against the grown guide.
-    fn recompile_expansion_oracle(spec: &str, original: &DataGuide) -> VDataGuide {
-        VDataGuide::compile(spec, original).must()
-    }
-
-    /// Structural equality of two expansions over (possibly different)
-    /// original guides, compared through the public accessors.
-    fn assert_same_expansion(a: &VDataGuide, b: &VDataGuide, ga: &DataGuide, gb: &DataGuide) {
-        assert_eq!(a.len(), b.len());
-        assert_eq!(a.roots(), b.roots());
-        for i in 0..a.len() {
-            let vt = TypeId::from_index(i);
-            assert_eq!(a.guide().name(vt), b.guide().name(vt));
-            assert_eq!(a.children(vt), b.children(vt));
-            assert_eq!(a.is_identity_below(vt), b.is_identity_below(vt));
-            assert_eq!(
-                ga.path_string(a.original_type(vt)),
-                gb.path_string(b.original_type(vt))
-            );
-        }
-    }
-
-    #[test]
-    fn unaffected_verdicts_are_sound_against_the_recompile_oracle() {
-        let spec = "title { author { name } }";
-        let g0 = original();
-        let v = VDataGuide::compile(spec, &g0).must();
-
-        // A new type under an invisible parent whose name matches no
-        // label: the expansion must survive, and the recompile agrees.
-        let mut g = g0.clone();
-        let publisher = g.lookup_path(&["data", "book", "publisher"]).must();
-        let t = g.intern_child(publisher, "note");
-        assert!(v.unaffected_by(&[t], &g));
-        assert_same_expansion(&v, &recompile_expansion_oracle(spec, &g), &g0, &g);
-
-        // A new type under a *visible* parent must force a recompute
-        // (conservative: the implicit rules could pull it in).
-        let mut g = g0.clone();
-        let title = g.lookup_path(&["data", "book", "title"]).must();
-        let t = g.intern_child(title, "subtitle");
-        assert!(!v.unaffected_by(&[t], &g));
-
-        // A new type whose name is a label tail must force a recompute:
-        // here the recompile even errors (ambiguous label), which the
-        // cache must surface rather than mask with a stale entry.
-        let mut g = g0.clone();
-        let publisher = g.lookup_path(&["data", "book", "publisher"]).must();
-        let t = g.intern_child(publisher, "name");
-        assert!(!v.unaffected_by(&[t], &g));
-        assert!(matches!(
-            VDataGuide::compile(spec, &g),
-            Err(VdgError::AmbiguousLabel { .. })
-        ));
-
-        // No new types: trivially unaffected.
-        assert!(v.unaffected_by(&[], &g0));
     }
 }

@@ -40,25 +40,6 @@ impl VdgSpec {
     pub fn parse(input: &str) -> Result<Self, crate::vdg::VdgError> {
         crate::vdg::parse_vdg(input)
     }
-
-    /// Every label mentioned anywhere in the specification, in
-    /// specification order (used by delta maintenance to decide whether a
-    /// freshly interned type could change label resolution).
-    pub fn labels(&self) -> Vec<&str> {
-        fn walk<'a>(node: &'a VdgNode, out: &mut Vec<&'a str>) {
-            out.push(&node.label);
-            for c in &node.children {
-                if let VdgChild::Node(n) = c {
-                    walk(n, out);
-                }
-            }
-        }
-        let mut out = Vec::new();
-        for r in &self.roots {
-            walk(r, &mut out);
-        }
-        out
-    }
 }
 
 impl fmt::Display for VdgSpec {

@@ -37,11 +37,15 @@ pub struct TypeIndex {
 impl TypeIndex {
     /// Builds the index in one pass in document order: PBN assignment
     /// order is document order, so each per-type list comes out PBN-sorted
-    /// for free.
+    /// for free. Edits evict the cached index and the next query rebuilds
+    /// it, so the per-node step is an array lookup: the type → virtual
+    /// type map is resolved once per guide type, not once per node.
     pub fn build(td: &TypedDocument, vdg: &VDataGuide) -> Self {
+        let vtype_of: Vec<Option<VTypeId>> =
+            td.guide().type_ids().map(|t| vdg.vtype_of(t)).collect();
         let mut by_vtype: Vec<Vec<NodeId>> = vec![Vec::new(); vdg.len()];
         for &id in td.pbn().arena().nodes_in_order() {
-            if let Some(vt) = vdg.vtype_of(td.type_of(id)) {
+            if let Some(&Some(vt)) = vtype_of.get(td.type_of(id).index()) {
                 by_vtype[vt.index()].push(id);
             }
         }
@@ -76,64 +80,6 @@ impl TypeIndex {
             .map(|v| v.len() * std::mem::size_of::<NodeId>())
             .sum::<usize>()
             + self.by_vtype.len() * std::mem::size_of::<Vec<NodeId>>()
-    }
-}
-
-/// Splice maintenance for the per-type index. Touched nodes are
-/// reconciled against their *final* document state — moved nodes make the
-/// journaled numbers non-monotone, so positions are recomputed from the
-/// live assignment rather than replayed chronologically.
-// oracle: rebuild_index_oracle
-impl crate::cache::MaintainView for TypeIndex {
-    fn maintain(
-        &self,
-        delta: &crate::cache::ViewDelta,
-        ctx: &crate::cache::MaintainCtx<'_>,
-    ) -> crate::cache::Maintained<Self> {
-        use crate::cache::Maintained;
-        if !ctx.vdg.unaffected_by(&delta.new_types, ctx.td.guide()) {
-            return Maintained::MustRecompute;
-        }
-        if delta.touched.is_empty() {
-            return Maintained::Unchanged;
-        }
-        // One entry per touched node: its final state (liveness, number,
-        // type) is read from the document below, so it does not matter how
-        // many times the batch moved it.
-        let mut touched: Vec<usize> = delta.touched.iter().map(|t| t.id.index()).collect();
-        touched.sort_unstable();
-        touched.dedup();
-        // Virtual types whose lists could have changed: every type a
-        // touched node ever had in this batch maps to at most one of them.
-        let mut affected: Vec<usize> = delta
-            .touched
-            .iter()
-            .filter_map(|t| ctx.vdg.vtype_of(t.ty).map(|vt| vt.index()))
-            .collect();
-        affected.sort_unstable();
-        affected.dedup();
-        if affected.is_empty() {
-            return Maintained::Unchanged;
-        }
-        let mut by_vtype = self.by_vtype.clone();
-        for &vi in &affected {
-            by_vtype[vi].retain(|id| touched.binary_search(&id.index()).is_err());
-        }
-        let pbn = ctx.td.pbn();
-        for &i in &touched {
-            let id = NodeId::from_index(i);
-            // Dead or detached nodes keep the empty number and stay out.
-            let Some(num) = pbn.by_node_checked(id).filter(|p| !p.is_empty()) else {
-                continue;
-            };
-            let Some(vt) = ctx.vdg.vtype_of(ctx.td.type_of(id)) else {
-                continue;
-            };
-            let list = &mut by_vtype[vt.index()];
-            let pos = list.partition_point(|&x| pbn.pbn_of(x) < num);
-            list.insert(pos, id);
-        }
-        Maintained::Replaced(TypeIndex { by_vtype })
     }
 }
 
@@ -779,82 +725,5 @@ mod tests {
         assert!(vd.check(crate::axes::v_child, author1, title1));
         assert!(vd.check(crate::axes::v_parent, title1, author1));
         assert!(!vd.check(crate::axes::v_child, title1, author1));
-    }
-
-    /// Recompute oracle for [`TypeIndex::maintain`]: a from-scratch
-    /// rebuild over the final document, which every kept or spliced
-    /// verdict must match byte-for-byte.
-    fn rebuild_index_oracle(td: &TypedDocument, vdg: &VDataGuide) -> TypeIndex {
-        TypeIndex::build(td, vdg)
-    }
-
-    /// Drains the document's delta, routes it through `maintain`, and
-    /// asserts the survivor equals the rebuild oracle. Returns the next
-    /// index plus whether the splice path (not a recompute) was taken.
-    fn reconcile(idx: &TypeIndex, td: &mut TypedDocument, vdg: &VDataGuide) -> (TypeIndex, bool) {
-        use crate::cache::{MaintainCtx, MaintainView, Maintained, ViewDelta};
-        let d = td.take_delta();
-        let vd = ViewDelta {
-            new_types: d.new_types,
-            touched: d.touched,
-            ..ViewDelta::default()
-        };
-        let ctx = MaintainCtx { td, vdg };
-        let (next, spliced) = match idx.maintain(&vd, &ctx) {
-            Maintained::Unchanged => (idx.clone(), true),
-            Maintained::Replaced(n) => (n, true),
-            Maintained::MustRecompute => (TypeIndex::build(td, vdg), false),
-        };
-        assert_eq!(next, rebuild_index_oracle(td, vdg));
-        (next, spliced)
-    }
-
-    #[test]
-    fn maintained_type_indexes_match_the_rebuild_oracle() {
-        let mut td = TypedDocument::analyze(paper_figure2());
-        let vdg = VDataGuide::compile("title { author { name } }", td.guide()).unwrap();
-        let mut idx = TypeIndex::build(&td, &vdg);
-        fn of(td: &TypedDocument, path: &[&str]) -> Vec<NodeId> {
-            td.nodes_of_type(td.guide().lookup_path(path).unwrap())
-        }
-
-        // Insert a whole book of already-interned types: pure splice.
-        let data = td.doc().root().unwrap();
-        td.insert_fragment(
-            data,
-            1,
-            "<book><title>Z</title><author><name>E</name></author>\
-             <publisher><location>L</location></publisher></book>",
-        )
-        .unwrap();
-        let (next, spliced) = reconcile(&idx, &mut td, &vdg);
-        assert!(spliced, "existing-type insert must splice");
-        idx = next;
-
-        // Move the last book's title into the first book: the journaled
-        // numbers are non-monotone, only the final position counts.
-        let titles = of(&td, &["data", "book", "title"]);
-        let books = of(&td, &["data", "book"]);
-        td.move_subtree(*titles.last().unwrap(), books[0], 0)
-            .unwrap();
-        let (next, spliced) = reconcile(&idx, &mut td, &vdg);
-        assert!(spliced, "moves must splice");
-        idx = next;
-
-        // Delete an author subtree: retained-out, never re-inserted.
-        let authors = of(&td, &["data", "book", "author"]);
-        td.delete_subtree(authors[0]).unwrap();
-        let (next, spliced) = reconcile(&idx, &mut td, &vdg);
-        assert!(spliced, "deletes must splice");
-        idx = next;
-
-        // A new type under a visible parent forces the recompute path.
-        let titles = of(&td, &["data", "book", "title"]);
-        td.insert_fragment(titles[0], 0, "<subtitle>s</subtitle>")
-            .unwrap();
-        let (next, spliced) = reconcile(&idx, &mut td, &vdg);
-        assert!(!spliced, "visible-parent new type must recompute");
-        idx = next;
-        assert!(idx.total_nodes() > 0);
     }
 }

@@ -2,7 +2,6 @@
 //! [`TypedDocument`] (document + guide + node→type map + PBN assignment)
 //! that the rest of the system works with.
 
-use crate::delta::{DeltaJournal, DocDelta};
 use crate::guide::DataGuide;
 use crate::types::{TypeId, TEXT_TYPE_NAME};
 use vh_pbn::PbnAssignment;
@@ -55,9 +54,6 @@ pub struct TypedDocument {
     pub(crate) pbn: PbnAssignment,
     pub(crate) guide: DataGuide,
     pub(crate) type_of: Vec<TypeId>,
-    /// Chronological record of node touches since the last
-    /// [`TypedDocument::take_delta`], for delta-aware cache maintenance.
-    pub(crate) journal: DeltaJournal,
 }
 
 impl TypedDocument {
@@ -65,13 +61,11 @@ impl TypedDocument {
     pub fn analyze(doc: Document) -> Self {
         let pbn = PbnAssignment::assign(&doc);
         let (guide, type_of) = DataGuide::from_document(&doc);
-        let journal = DeltaJournal::with_guide_base(guide.len());
         TypedDocument {
             doc,
             pbn,
             guide,
             type_of,
-            journal,
         }
     }
 
@@ -102,25 +96,6 @@ impl TypedDocument {
     #[inline]
     pub fn type_of(&self, id: NodeId) -> TypeId {
         self.type_of[id.index()]
-    }
-
-    /// Drains the edit journal: everything the mutations touched since the
-    /// last drain, plus the guide types they interned. Value-only rewrites
-    /// leave no trace (no cached structure depends on node values).
-    pub fn take_delta(&mut self) -> DocDelta {
-        self.journal.drain(self.guide.len())
-    }
-
-    /// Pending journal entries (0 right after [`TypedDocument::take_delta`],
-    /// and 0 while the journal is in its overflowed state).
-    pub fn pending_delta_ops(&self) -> usize {
-        self.journal.len()
-    }
-
-    /// True when the journal overflowed and the next
-    /// [`TypedDocument::take_delta`] will demand full recomputation.
-    pub fn delta_overflowed(&self) -> bool {
-        self.journal.overflowed()
     }
 
     /// All nodes of the given type, in document order.

@@ -16,7 +16,6 @@
 //! deletions (a strong DataGuide only ever grows).
 
 use crate::build::TypedDocument;
-use crate::delta::{Touch, TouchedNode};
 use crate::types::TEXT_TYPE_NAME;
 use std::fmt;
 use vh_pbn::{KeyGen, Pbn};
@@ -155,7 +154,7 @@ impl TypedDocument {
         if self.doc.parent(target).is_none() {
             return Err(EditError::RootTarget);
         }
-        let removed = self.retire_subtree(target);
+        let removed = self.pbn.remove_subtree(target);
         self.doc.detach(target);
         Ok(removed)
     }
@@ -188,7 +187,7 @@ impl TypedDocument {
         }
         // Retire the subtree's numbers first so the neighbour scan below
         // sees only the surviving siblings.
-        self.retire_subtree(target);
+        self.pbn.remove_subtree(target);
         self.doc.detach(target);
         self.doc.attach_at(parent, pos, target);
         self.renumber_inserted(parent, pos, target);
@@ -283,12 +282,6 @@ impl TypedDocument {
             };
             let ty = self.guide.intern_child(ptype, name);
             self.type_of[id.index()] = ty;
-            self.journal.record(TouchedNode {
-                id,
-                ty,
-                pbn: num.clone(),
-                touch: Touch::Added,
-            });
             for (i, &c) in self.doc.children(id).iter().enumerate().rev() {
                 stack.push((c, num.child(i as u32 + 1), ty));
             }
@@ -296,21 +289,6 @@ impl TypedDocument {
         }
         let inserted = self.pbn.insert_run(run);
         debug_assert!(inserted, "minted numbers are unique by construction");
-    }
-
-    /// Journals and retires the numbers of the (still attached) subtree
-    /// rooted at `target` — a delete, or the detach half of a move.
-    /// Returns the number of nodes retired.
-    fn retire_subtree(&mut self, target: NodeId) -> usize {
-        for id in self.doc.descendants_or_self(target) {
-            self.journal.record(TouchedNode {
-                id,
-                ty: self.type_of[id.index()],
-                pbn: self.pbn.pbn_of(id).clone(),
-                touch: Touch::Removed,
-            });
-        }
-        self.pbn.remove_subtree(target)
     }
 }
 

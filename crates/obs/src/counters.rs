@@ -20,9 +20,6 @@ pub const MAX_RANGE_RECORDS: usize = 64;
 pub enum CacheOutcome {
     /// Served from the compiled-view cache shard.
     Hit,
-    /// Served from the cache, where the entry last survived an edit via
-    /// delta maintenance rather than a fresh compute.
-    Maintained,
     /// Computed this query (and inserted, when caching is on).
     Computed,
     /// Cache disabled in the execution options; always computed fresh.
@@ -35,7 +32,6 @@ impl CacheOutcome {
     pub fn label(&self) -> &'static str {
         match self {
             CacheOutcome::Hit => "hit",
-            CacheOutcome::Maintained => "maintained",
             CacheOutcome::Computed => "computed",
             CacheOutcome::Bypassed => "bypassed",
         }
@@ -527,7 +523,6 @@ mod tests {
     #[test]
     fn cache_outcome_labels_are_stable() {
         assert_eq!(CacheOutcome::Hit.label(), "hit");
-        assert_eq!(CacheOutcome::Maintained.label(), "maintained");
         assert_eq!(CacheOutcome::Computed.label(), "computed");
         assert_eq!(CacheOutcome::Bypassed.label(), "bypassed");
     }

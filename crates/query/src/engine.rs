@@ -23,10 +23,8 @@
 //! range selections (type-index and arena slot brackets) and operator
 //! counts. [`Engine::explain`] forces tracing on and wraps the result in
 //! an [`Explain`] with text/JSON renderings; [`Engine::snapshot`] and
-//! [`Engine::metrics_text`] expose the cumulative counters. The legacy
-//! `eval*` wrappers over `run` compile only under the off-by-default
-//! `legacy-api` cargo feature — v1 of the API is [`QueryRequest`] in,
-//! [`QueryOutcome`] out.
+//! [`Engine::metrics_text`] expose the cumulative counters. v1 of the API
+//! is [`QueryRequest`] in, [`QueryOutcome`] out.
 
 use crate::doc::{PhysicalDoc, QueryDoc, VirtualDoc};
 use crate::edit::{Edit, EditReceipt, EditRecovery, ReplayFailure};
@@ -40,10 +38,7 @@ use crate::xpath::parse::parse_xpath;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
-use vh_core::cache::{
-    guide_fingerprint, Artifact, CacheStats, MaintenancePolicy, ShardedLru, Stamped, ViewDelta,
-    ViewKey,
-};
+use vh_core::cache::{guide_fingerprint, CacheStats, ShardedLru, ViewKey};
 use vh_core::levels::LevelMap;
 use vh_core::range::PrefixTables;
 use vh_core::{ExecCache, ExecOptions, TypeIndex, VDataGuide, VirtualDocument};
@@ -52,7 +47,6 @@ use vh_obs::{
     AxisCounters, CacheOutcome, PromWriter, QueryCounterCells, QueryCounters, QueryStats,
     QueryTrace, Span, TraceBuilder, ViewProvenance,
 };
-use vh_pbn::EncodedPbn;
 use vh_storage::buffer::BufferStats;
 use vh_storage::stats::StorageStats;
 use vh_storage::store::StoredDocument;
@@ -298,7 +292,7 @@ pub struct Engine {
     /// cache key, so re-registered content can never serve stale views.
     guide_hash: HashMap<String, u64>,
     /// Compiled-view artifacts shared across queries (and threads).
-    cache: Arc<ExecCache>,
+    cache: ExecCache,
     /// Execution options stamped onto every view this engine opens.
     exec: ExecOptions,
     /// Resource limits applied to every query this engine evaluates.
@@ -316,12 +310,6 @@ pub struct Engine {
     /// [`Engine::recover`] skips records at or below it (idempotent
     /// replay).
     applied_seq: u64,
-    /// Per-URI document generation, bumped whenever a structural edit
-    /// batch commits (or a URI is re-registered). Cached
-    /// entries carry the generation they reflect ([`Stamped`]); a lookup
-    /// whose entry generation disagrees recomputes, so correctness never
-    /// depends on delta routing having reached every entry.
-    doc_gen: HashMap<String, u64>,
 }
 
 impl Default for Engine {
@@ -329,14 +317,13 @@ impl Default for Engine {
         Engine {
             docs: HashMap::new(),
             guide_hash: HashMap::new(),
-            cache: Arc::default(),
+            cache: ExecCache::default(),
             exec: ExecOptions::default(),
             limits: Limits::default(),
             counters: QueryCounterCells::new(),
             stores: HashMap::new(),
             wal: EditWal::new(),
             applied_seq: 0,
-            doc_gen: HashMap::new(),
         }
     }
 }
@@ -392,13 +379,10 @@ impl Engine {
     }
 
     /// Stores an analyzed document, evicting all cached views of the URI
-    /// and recording the new guide fingerprint. Re-registration is not an
-    /// edit — there is no delta to route — so the generation is bumped and
-    /// the cache hard-evicted.
+    /// and recording the new guide fingerprint.
     fn install(&mut self, uri: String, td: TypedDocument) {
         self.cache.invalidate_uri(&uri);
         self.stores.remove(&uri);
-        *self.doc_gen.entry(uri.clone()).or_insert(0) += 1;
         self.guide_hash
             .insert(uri.clone(), guide_fingerprint(td.guide()));
         self.docs.insert(uri, td);
@@ -440,6 +424,8 @@ impl Engine {
     /// ([`vh_pbn::KeyGen`]), so no existing node is ever renumbered; the
     /// byte arena takes the edit as one splice per touched subtree, so
     /// readers ([`Engine::run`] takes `&self`) always see a fresh arena.
+    /// An edit that splices arena slots evicts the URI's cached views
+    /// ([`ExecCache::evict_edited`]); the next query recomputes them.
     pub fn apply(&mut self, edit: Edit) -> Result<EditReceipt, FlwrError> {
         self.apply_traced(edit, false).map(|(receipt, _)| receipt)
     }
@@ -458,7 +444,6 @@ impl Engine {
         };
         trace.meta("kind", edit.kind());
         trace.meta("uri", edit.uri());
-        let old_fp = self.fingerprint_of(edit.uri());
         let (nodes_touched, compacted) = match self.apply_inner(&edit, &mut trace) {
             Ok(n) => n,
             Err(e) => {
@@ -468,7 +453,6 @@ impl Engine {
         };
         let seq = self.log_edit(&edit);
         trace.count("wal.seq", seq);
-        self.route_uri_delta(edit.uri(), old_fp, &mut trace);
         Ok((
             EditReceipt {
                 seq,
@@ -481,31 +465,21 @@ impl Engine {
         ))
     }
 
-    /// Applies a batch of edits in order. Unlike repeated
-    /// [`Engine::apply`] calls, the cache sees each touched document's
-    /// edits as one merged delta at the end of the batch. Stops at the
-    /// first rejected edit; everything before it is applied and durable.
+    /// Applies a batch of edits in order, each exactly as
+    /// [`Engine::apply`] would. Stops at the first rejected edit;
+    /// everything before it is applied and durable.
     pub fn apply_all(&mut self, edits: Vec<Edit>) -> Result<Vec<EditReceipt>, FlwrError> {
         let mut trace = TraceBuilder::disabled();
         let mut receipts = Vec::with_capacity(edits.len());
-        // One `(uri, pre-batch fingerprint)` per touched document: the whole
-        // batch is routed to the cache as a single merged delta at the end
-        // (or on the error path), never per edit.
-        let mut touched: Vec<(String, u64)> = Vec::new();
         for edit in edits {
-            let old_fp = self.fingerprint_of(edit.uri());
             let (nodes_touched, compacted) = match self.apply_inner(&edit, &mut trace) {
                 Ok(n) => n,
                 Err(e) => {
                     self.counters.record_edit_failure();
-                    self.route_touched(&touched, &mut trace);
                     return Err(e);
                 }
             };
             let seq = self.log_edit(&edit);
-            if !touched.iter().any(|(u, _)| u == edit.uri()) {
-                touched.push((edit.uri().to_owned(), old_fp));
-            }
             receipts.push(EditReceipt {
                 seq,
                 uri: edit.uri().to_owned(),
@@ -514,7 +488,6 @@ impl Engine {
                 compacted,
             });
         }
-        self.route_touched(&touched, &mut trace);
         Ok(receipts)
     }
 
@@ -554,7 +527,6 @@ impl Engine {
             wal: report,
             ..EditRecovery::default()
         };
-        let mut touched: Vec<(String, u64)> = Vec::new();
         for r in &records {
             if r.seq <= self.applied_seq {
                 rec.skipped += 1;
@@ -570,16 +542,12 @@ impl Engine {
                     break;
                 }
             };
-            let old_fp = self.fingerprint_of(edit.uri());
             match self.apply_inner(&edit, &mut trace) {
                 Ok((_, slots)) => {
                     self.applied_seq = r.seq;
                     rec.replayed += 1;
                     rec.compacted += slots;
                     self.counters.record_edit(true);
-                    if !touched.iter().any(|(u, _)| u == edit.uri()) {
-                        touched.push((edit.uri().to_owned(), old_fp));
-                    }
                 }
                 Err(e) => {
                     rec.failed.push(ReplayFailure {
@@ -590,21 +558,11 @@ impl Engine {
                 }
             }
         }
-        self.route_touched(&touched, &mut trace);
         self.wal = wal;
         trace.count("recover.replayed", rec.replayed);
         trace.count("recover.skipped", rec.skipped);
         rec.trace = trace.finish();
         Ok(rec)
-    }
-
-    /// Replaces the cache's maintain-vs-recompute cost model (a tuning
-    /// and testing hook). No-op while the cache is shared with another
-    /// engine or an in-flight reader.
-    pub fn set_maintenance_policy(&mut self, policy: MaintenancePolicy) {
-        if let Some(c) = Arc::get_mut(&mut self.cache) {
-            c.set_policy(policy);
-        }
     }
 
     /// The engine's write-ahead edit log as bytes — what `vpbn edit`
@@ -620,12 +578,12 @@ impl Engine {
     }
 
     /// Validates and applies one edit to its document, then refreshes the
-    /// URI's guide fingerprint (the guide may have grown). Cached views
-    /// are **not** evicted here: the edit's journal is routed to the cache
-    /// as a [`ViewDelta`] once the batch commits
-    /// ([`Engine::route_uri_delta`]). Returns the number of nodes touched
-    /// and the number of arena slots the edit inserted or removed. Does
-    /// **not** log.
+    /// URI's guide fingerprint (the guide may have grown). An edit that
+    /// spliced arena slots evicts the URI's cached views, exactly as
+    /// re-registration does; a value rewrite of an existing text node
+    /// changes no cached artifact and leaves them warm. Returns the number
+    /// of nodes touched and the number of arena slots the edit inserted or
+    /// removed. Does **not** log.
     fn apply_inner(
         &mut self,
         edit: &Edit,
@@ -675,6 +633,10 @@ impl Engine {
         let fp = guide_fingerprint(td.guide());
         self.stores.remove(uri);
         self.guide_hash.insert(uri.to_owned(), fp);
+        if slots > 0 {
+            let evicted = self.cache.evict_edited(uri);
+            trace.count("cache.recomputed", evicted as u64);
+        }
         Ok((nodes_touched, slots))
     }
 
@@ -690,84 +652,10 @@ impl Engine {
         seq
     }
 
-    /// Routes every URI in `touched` (end-of-batch cleanup, also taken on
-    /// the error path so the partially applied prefix is consistent with
-    /// the cache).
-    fn route_touched(&mut self, touched: &[(String, u64)], trace: &mut TraceBuilder) {
-        for (uri, old_fp) in touched {
-            self.route_uri_delta(uri, *old_fp, trace);
-        }
-    }
-
-    /// The recorded guide fingerprint of `uri` (0 for unknown URIs — the
-    /// only callers follow up with an operation that fails on them).
-    fn fingerprint_of(&self, uri: &str) -> u64 {
-        self.guide_hash.get(uri).copied().unwrap_or(0)
-    }
-
-    /// The current document generation of `uri`.
-    fn gen_of(&self, uri: &str) -> u64 {
-        self.doc_gen.get(uri).copied().unwrap_or(0)
-    }
-
-    /// Drains `uri`'s edit journal into one [`ViewDelta`] and routes it to
-    /// the URI's cached views: maintainable artifacts survive the edit
-    /// batch (re-keyed and restamped), the rest are dropped for recompute.
-    /// Value-only batches (no structural touches, no new types) route
-    /// nothing — no cached artifact depends on text content.
-    fn route_uri_delta(&mut self, uri: &str, old_fp: u64, trace: &mut TraceBuilder) {
-        let Some(td) = self.docs.get_mut(uri) else {
-            return;
-        };
-        let d = td.take_delta();
-        let new_fp = self.guide_hash.get(uri).copied().unwrap_or(old_fp);
-        if d.is_empty() && old_fp == new_fp {
-            return;
-        }
-        let gen = {
-            let g = self.doc_gen.entry(uri.to_owned()).or_insert(0);
-            *g += 1;
-            *g
-        };
-        let td = &self.docs[uri];
-        // Byte-key bounds over every touch's number at touch time, and the
-        // post-edit arena slot bracket of the touches still alive.
-        let mut key_range: Option<(Vec<u8>, Vec<u8>)> = None;
-        let mut slot_range: Option<(usize, usize)> = None;
-        for t in &d.touched {
-            let key = EncodedPbn::encode(&t.pbn).as_bytes().to_vec();
-            key_range = Some(match key_range.take() {
-                None => (key.clone(), key),
-                Some((lo, hi)) => (lo.min(key.clone()), hi.max(key)),
-            });
-            if let Some(slot) = td.pbn().arena().slot_of(t.id) {
-                slot_range = Some(match slot_range.take() {
-                    None => (slot, slot),
-                    Some((lo, hi)) => (lo.min(slot), hi.max(slot)),
-                });
-            }
-        }
-        let delta = ViewDelta {
-            uri: uri.to_owned(),
-            old_fp,
-            new_fp,
-            gen,
-            new_types: d.new_types,
-            touched: d.touched,
-            key_range,
-            slot_range,
-            overflowed: d.overflowed,
-        };
-        let out = self.cache.route_delta(&delta, td);
-        trace.count("cache.maintained", out.maintained);
-        trace.count("cache.recomputed", out.recomputed);
-        trace.count("cache.fallback_evictions", out.fallback_evictions);
-    }
-
     // ------------------------------------------------------------- run ---
 
-    /// Evaluates one [`QueryRequest`] end to end. This is the blessed
-    /// entry point; every legacy `eval*` method wraps it.
+    /// Evaluates one [`QueryRequest`] end to end — the single query entry
+    /// point.
     pub fn run(&self, req: &QueryRequest) -> Result<QueryOutcome, FlwrError> {
         let mut trace = if req.trace {
             TraceBuilder::enabled("query")
@@ -1002,56 +890,35 @@ impl Engine {
             ..ViewProvenance::default()
         };
         let mut vd = if exec.cache {
-            let gen = self.gen_of(uri);
             let key = ViewKey::new(uri, fp, spec);
             trace.begin("guide-expansion");
-            let (vdg, outcome) = cached_artifact(
-                &self.cache,
-                &self.cache.expansions,
-                &key,
-                gen,
-                Artifact::Expansions,
-                || VDataGuide::compile(spec, td.guide()).map(Arc::new),
-            )?;
+            let (vdg, outcome) = cached_artifact(&self.cache.expansions, &key, || {
+                VDataGuide::compile(spec, td.guide()).map(Arc::new)
+            })?;
             prov.expansion = outcome;
             trace.meta("cache", prov.expansion.label());
             trace.end();
 
             trace.begin("level-map");
-            let (levels, outcome) = cached_artifact(
-                &self.cache,
-                &self.cache.levels,
-                &key,
-                gen,
-                Artifact::Levels,
-                || Ok::<_, FlwrError>(Arc::new(LevelMap::build(&vdg, td.guide()))),
-            )?;
+            let (levels, outcome) = cached_artifact(&self.cache.levels, &key, || {
+                Ok::<_, FlwrError>(Arc::new(LevelMap::build(&vdg, td.guide())))
+            })?;
             prov.levels = outcome;
             trace.meta("cache", prov.levels.label());
             trace.end();
 
             trace.begin("prefix-tables");
-            let (tables, outcome) = cached_artifact(
-                &self.cache,
-                &self.cache.tables,
-                &key,
-                gen,
-                Artifact::Tables,
-                || Ok::<_, FlwrError>(Arc::new(PrefixTables::build(&vdg, &levels, td.guide()))),
-            )?;
+            let (tables, outcome) = cached_artifact(&self.cache.tables, &key, || {
+                Ok::<_, FlwrError>(Arc::new(PrefixTables::build(&vdg, &levels, td.guide())))
+            })?;
             prov.tables = outcome;
             trace.meta("cache", prov.tables.label());
             trace.end();
 
             trace.begin("type-index");
-            let (index, outcome) = cached_artifact(
-                &self.cache,
-                &self.cache.indexes,
-                &key,
-                gen,
-                Artifact::Indexes,
-                || Ok::<_, FlwrError>(Arc::new(TypeIndex::build(td, &vdg))),
-            )?;
+            let (index, outcome) = cached_artifact(&self.cache.indexes, &key, || {
+                Ok::<_, FlwrError>(Arc::new(TypeIndex::build(td, &vdg)))
+            })?;
             prov.indexes = outcome;
             trace.meta("cache", prov.indexes.label());
             trace.end();
@@ -1097,37 +964,22 @@ impl Engine {
 
     /// One consolidated statistics snapshot: compiled-view cache
     /// counters, storage/buffer counters merged over the attached
-    /// stores, and cumulative query counters.
-    ///
-    /// The whole composite is read under a stable cache maintenance
-    /// epoch (the same generation stamp `Stamped` entries carry): if an
-    /// `apply` batch routes its delta while the snapshot is being
-    /// assembled, the read retries, so the returned stats can never mix
-    /// pre-batch cache state with post-batch counters.
+    /// stores, and cumulative query counters. Edits take `&mut self`, so
+    /// no edit can commit while a snapshot is assembled.
     pub fn snapshot(&self) -> EngineSnapshot {
-        loop {
-            let epoch = self.cache.epoch();
-            if epoch % 2 == 1 {
-                std::hint::spin_loop();
-                continue;
+        let mut storage = StorageStats::default();
+        let mut buffers = BufferStats::default();
+        for store in self.stores.values() {
+            storage.merge(&store.stats());
+            if let Some(b) = store.buffer_stats() {
+                buffers.merge(&b);
             }
-            let mut storage = StorageStats::default();
-            let mut buffers = BufferStats::default();
-            for store in self.stores.values() {
-                storage.merge(&store.stats());
-                if let Some(b) = store.buffer_stats() {
-                    buffers.merge(&b);
-                }
-            }
-            let snap = EngineSnapshot {
-                cache: self.cache.stats(),
-                storage,
-                buffers,
-                queries: self.counters.snapshot(),
-            };
-            if self.cache.epoch() == epoch {
-                return snap;
-            }
+        }
+        EngineSnapshot {
+            cache: self.cache.stats(),
+            storage,
+            buffers,
+            queries: self.counters.snapshot(),
         }
     }
 
@@ -1219,25 +1071,10 @@ impl Engine {
             );
         }
         w.counter(
-            "vh_cache_maintained_total",
-            "Cached view artifacts kept alive across an edit batch by delta maintenance.",
-        );
-        w.sample("vh_cache_maintained_total", &[], snap.cache.maintained);
-        w.counter(
             "vh_cache_recomputed_total",
-            "Cached view artifacts an edit delta invalidated for recompute.",
+            "Cached view artifacts an edit evicted for recompute.",
         );
         w.sample("vh_cache_recomputed_total", &[], snap.cache.recomputed);
-        w.counter(
-            "vh_cache_fallback_evictions_total",
-            "Cache entries dropped by the maintenance hard fallback (overflowed journal \
-             or the cost model).",
-        );
-        w.sample(
-            "vh_cache_fallback_evictions_total",
-            &[],
-            snap.cache.fallback_evictions,
-        );
         w.gauge(
             "vpbn_storage_resident_bytes",
             "Resident bytes across attached stores.",
@@ -1274,90 +1111,6 @@ impl Engine {
         w.sample("vpbn_buffer_misses_total", &[], snap.buffers.misses);
         w.finish()
     }
-
-    /// Hit/miss/eviction counters of the compiled-view cache.
-    ///
-    /// Deprecated: prefer [`Engine::snapshot`], which reports these
-    /// alongside storage, buffer and query counters. Compiled only with
-    /// the off-by-default `legacy-api` feature.
-    #[cfg(feature = "legacy-api")]
-    #[doc(hidden)]
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// Number of compiled views currently cached (expansion entries).
-    ///
-    /// Deprecated: prefer [`Engine::snapshot`]
-    /// (`snapshot().cache.expansions.entries`). Compiled only with the
-    /// off-by-default `legacy-api` feature.
-    #[cfg(feature = "legacy-api")]
-    #[doc(hidden)]
-    pub fn cached_views(&self) -> usize {
-        self.cache.expansions.len()
-    }
-
-    // ------------------------------------------------ legacy wrappers ---
-    // The pre-v1 entry points, kept only behind the off-by-default
-    // `legacy-api` cargo feature. New code goes through `Engine::run`.
-
-    /// Evaluates a FLWR query, returning the result document (rooted at
-    /// `<results>`).
-    ///
-    /// Deprecated: prefer [`Engine::run`] with [`QueryRequest::flwr`],
-    /// which also returns per-query statistics.
-    #[cfg(feature = "legacy-api")]
-    pub fn eval(&self, query: &str) -> Result<Document, FlwrError> {
-        Ok(self.run(&QueryRequest::flwr(query))?.document)
-    }
-
-    /// Evaluates an already-parsed FLWR query. Queries may draw from any
-    /// number of registered documents and virtual views; the first
-    /// `doc()`/`virtualDoc()` origin is the primary document for
-    /// variable-free expressions.
-    ///
-    /// Deprecated: prefer [`Engine::run`] with [`QueryRequest::parsed`].
-    #[cfg(feature = "legacy-api")]
-    pub fn eval_parsed(&self, q: &FlwrQuery) -> Result<Document, FlwrError> {
-        Ok(self.run(&QueryRequest::parsed(q.clone()))?.document)
-    }
-
-    /// Evaluates an XPath over the physical document registered at `uri`.
-    ///
-    /// Deprecated: prefer [`Engine::run`] with [`QueryRequest::path`].
-    #[cfg(feature = "legacy-api")]
-    pub fn eval_path(&self, uri: &str, path: &str) -> Result<Vec<NodeId>, FlwrError> {
-        Ok(self
-            .run(&QueryRequest::path(uri, path))?
-            .nodes
-            .unwrap_or_default())
-    }
-
-    /// Evaluates an XPath over a virtual view of the document at `uri`.
-    ///
-    /// Deprecated: prefer [`Engine::run`] with
-    /// [`QueryRequest::virtual_path`].
-    #[cfg(feature = "legacy-api")]
-    pub fn eval_virtual_path(
-        &self,
-        uri: &str,
-        spec: &str,
-        path: &str,
-    ) -> Result<Vec<NodeId>, FlwrError> {
-        Ok(self
-            .run(&QueryRequest::virtual_path(uri, spec, path))?
-            .nodes
-            .unwrap_or_default())
-    }
-
-    /// Convenience: the result of `eval` serialized compactly.
-    ///
-    /// Deprecated: prefer [`Engine::run`] +
-    /// [`QueryOutcome::to_string_compact`].
-    #[cfg(feature = "legacy-api")]
-    pub fn eval_to_string(&self, query: &str) -> Result<String, FlwrError> {
-        Ok(self.run(&QueryRequest::flwr(query))?.to_string_compact())
-    }
 }
 
 /// Distinct `doc()`/`virtualDoc()` origins of a FLWR query, in clause
@@ -1386,40 +1139,19 @@ fn flwr_origins(q: &FlwrQuery) -> Result<Vec<(String, Option<String>)>, FlwrErro
     Ok(origins)
 }
 
-/// Looks up one compiled-view artifact in its cache map. A present entry
-/// is served only when its generation stamp matches the document's
-/// current generation — the second staleness guard behind the fingerprint
-/// in the key — and reports whether delta maintenance (vs. a fresh
-/// compute) last produced it. A miss (or a stale entry, dropped) computes
-/// via `build`, feeding the observed rebuild time into the cache's
-/// maintain-vs-recompute cost model.
+/// Looks up one compiled-view artifact in its cache map, computing and
+/// storing it via `build` on a miss. Edits evict a URI's entries, so a
+/// present entry is always current.
 fn cached_artifact<T, E>(
-    cache: &ExecCache,
-    map: &ShardedLru<ViewKey, Stamped<Arc<T>>>,
+    map: &ShardedLru<ViewKey, Arc<T>>,
     key: &ViewKey,
-    gen: u64,
-    artifact: Artifact,
     build: impl FnOnce() -> Result<Arc<T>, E>,
 ) -> Result<(Arc<T>, CacheOutcome), E> {
-    match map.get(key) {
-        Some(s) if s.gen == gen => {
-            let outcome = if s.maintained {
-                CacheOutcome::Maintained
-            } else {
-                CacheOutcome::Hit
-            };
-            return Ok((s.value, outcome));
-        }
-        Some(_) => {
-            // An edit committed without routing this entry; never serve it.
-            map.remove(key);
-        }
-        None => {}
+    if let Some(value) = map.get(key) {
+        return Ok((value, CacheOutcome::Hit));
     }
-    let t0 = Instant::now();
     let value = build()?;
-    cache.note_rebuild(artifact, elapsed_ns(t0));
-    map.insert(key.clone(), Stamped::fresh(gen, value.clone()));
+    map.insert(key.clone(), value.clone());
     Ok((value, CacheOutcome::Computed))
 }
 
@@ -1448,12 +1180,8 @@ mod tests {
         e
     }
 
-    /// `run()`-backed spellings of the retired `eval*` wrappers: the
-    /// tests keep their shorthand while exercising only the v1
-    /// `QueryRequest` surface, so they compile with `legacy-api` on or
-    /// off. (With the feature on, the inherent wrappers shadow these —
-    /// both roads reach `Engine::run`.)
-    #[cfg_attr(feature = "legacy-api", allow(dead_code))]
+    /// `run()`-backed shorthands, so the tests read as one call per query
+    /// while exercising only the v1 `QueryRequest` surface.
     trait RunExt {
         fn eval(&self, query: &str) -> Result<Document, FlwrError>;
         fn eval_to_string(&self, query: &str) -> Result<String, FlwrError>;
@@ -1467,7 +1195,6 @@ mod tests {
         fn cached_views(&self) -> usize;
     }
 
-    #[cfg_attr(feature = "legacy-api", allow(dead_code))]
     impl RunExt for Engine {
         fn eval(&self, query: &str) -> Result<Document, FlwrError> {
             Ok(self.run(&QueryRequest::flwr(query))?.document)
@@ -1852,9 +1579,7 @@ mod tests {
             "vpbn_query_failures_total 1",
             "vpbn_query_stage_ns_total{stage=\"exec\"}",
             "vpbn_cache_hits_total{artifact=\"expansions\"}",
-            "vh_cache_maintained_total 0",
             "vh_cache_recomputed_total 0",
-            "vh_cache_fallback_evictions_total 0",
             "vpbn_storage_resident_bytes",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
@@ -1934,125 +1659,56 @@ mod tests {
         assert!(after.contains("<title>W</title>"), "{after}");
     }
 
-    /// A policy under which splicing is estimated free, so acceptance is
-    /// deterministic: the default policy's verdict on a two-book document
-    /// hinges on the observed rebuild time, which machine noise can push
-    /// either side of the splice estimate. The rejection side is pinned
-    /// by `cost_model_rejection_counts_a_fallback_eviction`; the real
-    /// crossover is priced by `exp_update` (UPD-d).
-    fn free_splice() -> vh_core::cache::MaintenancePolicy {
-        vh_core::cache::MaintenancePolicy {
-            clone_node_ns: 0,
-            splice_op_ns: 0,
-            ..Default::default()
-        }
-    }
-
     #[test]
-    fn edit_deltas_maintain_cached_views() {
+    fn existing_type_inserts_evict_and_recompute_cached_views() {
         let mut e = engine();
-        e.set_maintenance_policy(free_splice());
-        // Warm every artifact, then insert a book whose types are all
-        // already interned: the whole view must survive via maintenance.
         e.eval_to_string(RHONDA).must();
+        // Every type of the inserted book is already interned, so the
+        // guide fingerprint (and with it the cache key) stays the same:
+        // only the eviction keeps the pre-edit index from being served.
+        let fp = e.guide_hash["book.xml"];
         e.apply(insert_book("W", 0)).must();
+        assert_eq!(e.guide_hash["book.xml"], fp);
         let snap = e.snapshot();
         assert_eq!(
-            snap.cache.maintained, 4,
-            "expansion, levels, tables and index all kept: {snap:?}"
+            snap.cache.recomputed, 4,
+            "expansion, levels, tables and index evicted: {snap:?}"
         );
-        assert_eq!(snap.cache.recomputed, 0);
-        assert_eq!(snap.cache.fallback_evictions, 0);
+        assert_eq!(
+            (snap.cache.maintained, snap.cache.fallback_evictions),
+            (0, 0)
+        );
         let warm = e.run(&QueryRequest::flwr(RHONDA).with_trace(true)).must();
         let v = &warm.stats.views[0];
-        assert_eq!(v.expansion, CacheOutcome::Maintained);
-        assert_eq!(v.levels, CacheOutcome::Maintained);
-        assert_eq!(v.tables, CacheOutcome::Maintained);
-        assert_eq!(v.indexes, CacheOutcome::Maintained);
-        assert_eq!(
-            warm.to_string_compact().matches("<result>").count(),
-            3,
-            "maintained index must serve the inserted book"
-        );
-    }
-
-    #[test]
-    fn new_type_edits_recompute_affected_views() {
-        let mut e = engine();
-        e.eval_to_string(RHONDA).must();
-        // A fresh type under the *visible* title: conservative recompute.
-        e.apply(Edit::InsertSubtree {
-            uri: "book.xml".into(),
-            parent: "1.1.1".into(),
-            pos: 0,
-            xml: "<subtitle>s</subtitle>".into(),
-        })
-        .must();
-        let snap = e.snapshot();
-        assert_eq!(snap.cache.maintained, 0);
-        assert!(snap.cache.recomputed > 0, "{snap:?}");
-        let warm = e.run(&QueryRequest::flwr(RHONDA).with_trace(true)).must();
-        assert_eq!(warm.stats.views[0].indexes, CacheOutcome::Computed);
-        assert_eq!(warm.to_string_compact().matches("<result>").count(), 2);
-    }
-
-    #[test]
-    fn value_only_edits_leave_the_cache_untouched() {
-        let mut e = engine();
-        e.eval_to_string(RHONDA).must();
-        e.apply(Edit::SetValue {
-            uri: "book.xml".into(),
-            target: "1.1.1".into(),
-            value: "X2".into(),
-        })
-        .must();
-        let snap = e.snapshot();
-        assert_eq!((snap.cache.maintained, snap.cache.recomputed), (0, 0));
-        // No artifact depends on text, so the entries are plain hits —
-        // not even restamped as maintained.
-        let warm = e.run(&QueryRequest::flwr(RHONDA).with_trace(true)).must();
-        assert_eq!(warm.stats.views[0].indexes, CacheOutcome::Hit);
-        assert!(warm.to_string_compact().contains("<title>X2</title>"));
-    }
-
-    #[test]
-    fn apply_all_routes_one_merged_delta_per_uri() {
-        let mut e = engine();
-        e.set_maintenance_policy(free_splice());
-        e.eval_to_string(RHONDA).must();
-        // Three edits, one batch: the cache sees ONE merged delta (4
-        // artifacts maintained once), not one route per edit — the former
-        // double-invalidation (per edit + batch end) would triple it.
-        e.apply_all(vec![
-            insert_book("A", 0),
-            insert_book("B", 1),
-            insert_book("C", 2),
-        ])
-        .must();
-        let snap = e.snapshot();
-        assert_eq!(snap.cache.maintained, 4, "{snap:?}");
-        let after = e.eval_to_string(RHONDA).must();
-        assert_eq!(after.matches("<result>").count(), 5);
-    }
-
-    #[test]
-    fn cost_model_rejection_counts_a_fallback_eviction() {
-        let mut e = engine();
-        // A policy that makes every splice look infinitely expensive: the
-        // per-node index must fall back to eviction instead.
-        e.set_maintenance_policy(vh_core::cache::MaintenancePolicy {
-            splice_op_ns: u64::MAX / 1024,
-            ..vh_core::cache::MaintenancePolicy::default()
-        });
-        e.eval_to_string(RHONDA).must();
-        e.apply(insert_book("W", 0)).must();
-        let snap = e.snapshot();
-        assert_eq!(snap.cache.fallback_evictions, 1, "{snap:?}");
-        assert_eq!(snap.cache.maintained, 3, "guide-pure artifacts kept");
-        let warm = e.run(&QueryRequest::flwr(RHONDA).with_trace(true)).must();
-        assert_eq!(warm.stats.views[0].indexes, CacheOutcome::Computed);
-        assert_eq!(warm.stats.views[0].tables, CacheOutcome::Maintained);
+        for outcome in [v.expansion, v.levels, v.tables, v.indexes] {
+            assert_eq!(outcome, CacheOutcome::Computed);
+        }
         assert_eq!(warm.to_string_compact().matches("<result>").count(), 3);
+    }
+
+    #[test]
+    fn value_rewrites_keep_every_entry_a_hit() {
+        let mut e = engine();
+        e.eval_to_string(RHONDA).must();
+        let r = e
+            .apply(Edit::SetValue {
+                uri: "book.xml".into(),
+                target: "1.1.1".into(),
+                value: "X2".into(),
+            })
+            .must();
+        assert_eq!(
+            r.compacted, 0,
+            "the existing text node is rewritten in place"
+        );
+        assert_eq!(e.snapshot().cache.recomputed, 0);
+        // No artifact depends on text, so nothing was evicted.
+        let warm = e.run(&QueryRequest::flwr(RHONDA).with_trace(true)).must();
+        let v = &warm.stats.views[0];
+        for outcome in [v.expansion, v.levels, v.tables, v.indexes] {
+            assert_eq!(outcome, CacheOutcome::Hit);
+        }
+        assert!(warm.to_string_compact().contains("<title>X2</title>"));
     }
 
     #[test]
@@ -2186,64 +1842,9 @@ mod tests {
             "vpbn_edits_total 1",
             "vpbn_edit_failures_total 0",
             "vpbn_replayed_edits_total 0",
-            "vh_cache_maintained_total",
+            "vh_cache_recomputed_total",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
-        }
-    }
-
-    /// The retired wrappers, exercised only when the `legacy-api`
-    /// feature resurrects them: each must agree with its `Engine::run`
-    /// replacement (the contract the deprecated-wrapper vet lint pins
-    /// structurally).
-    #[cfg(feature = "legacy-api")]
-    mod legacy_api {
-        use super::*;
-
-        #[test]
-        fn wrappers_agree_with_run() {
-            let e = engine();
-            assert_eq!(
-                Engine::eval_to_string(&e, RHONDA).must(),
-                e.run(&QueryRequest::flwr(RHONDA))
-                    .must()
-                    .to_string_compact()
-            );
-            assert_eq!(
-                Engine::eval_path(&e, "book.xml", "//book").must(),
-                e.run(&QueryRequest::path("book.xml", "//book"))
-                    .must()
-                    .nodes
-                    .must()
-            );
-            assert_eq!(
-                Engine::eval_virtual_path(&e, "book.xml", "title { author { name } }", "//title")
-                    .must(),
-                e.run(&QueryRequest::virtual_path(
-                    "book.xml",
-                    "title { author { name } }",
-                    "//title"
-                ))
-                .must()
-                .nodes
-                .must()
-            );
-            let parsed = parse_flwr(RHONDA).must();
-            assert_eq!(
-                vh_xml::serialize(
-                    &Engine::eval_parsed(&e, &parsed).must(),
-                    vh_xml::SerializeOptions::compact()
-                ),
-                Engine::eval_to_string(&e, RHONDA).must()
-            );
-            assert_eq!(
-                Engine::cache_stats(&e).total_hits(),
-                e.snapshot().cache.total_hits()
-            );
-            assert_eq!(
-                Engine::cached_views(&e),
-                e.snapshot().cache.expansions.entries
-            );
         }
     }
 }

@@ -30,12 +30,8 @@ pub enum Lint {
     /// A Prometheus metric name that is not namespaced snake_case, or a
     /// sample emitted before its family's `# HELP`/`# TYPE` opener.
     PromName,
-    /// A legacy `Engine` wrapper that does not forward to `Engine::run`
-    /// or lacks deprecation docs.
-    DeprecatedWrapper,
-    /// A `*_swar`/`*_branchless` kernel — or a bodied cache `maintain`
-    /// impl — without an `// oracle:` comment naming a twin defined in
-    /// the same file.
+    /// A `*_swar`/`*_branchless` kernel without an `// oracle:` comment
+    /// naming a twin defined in the same file.
     OracleTwin,
     /// Two lock classes acquired in opposite orders somewhere across
     /// the workspace call graph: a potential deadlock.
@@ -62,7 +58,6 @@ pub const ALL_LINTS: &[Lint] = &[
     Lint::ErrorExit,
     Lint::ApiSurface,
     Lint::PromName,
-    Lint::DeprecatedWrapper,
     Lint::OracleTwin,
     Lint::LockOrder,
     Lint::HoldAcrossBlocking,
@@ -83,7 +78,6 @@ impl Lint {
             Lint::ErrorExit => "error-exit",
             Lint::ApiSurface => "api-surface",
             Lint::PromName => "prom-name",
-            Lint::DeprecatedWrapper => "deprecated-wrapper",
             Lint::OracleTwin => "oracle-twin",
             Lint::LockOrder => "lock-order",
             Lint::HoldAcrossBlocking => "hold-across-blocking",
@@ -124,11 +118,8 @@ impl Lint {
             Lint::PromName => {
                 "Prometheus metric names are vpbn_/vh_-prefixed snake_case with families opened before samples"
             }
-            Lint::DeprecatedWrapper => {
-                "legacy Engine wrappers forward to Engine::run and carry deprecation docs"
-            }
             Lint::OracleTwin => {
-                "every *_swar/*_branchless kernel and cache maintain impl has an // oracle: comment naming a twin defined in the same file"
+                "every *_swar/*_branchless kernel has an // oracle: comment naming a scalar twin defined in the same file"
             }
             Lint::LockOrder => {
                 "no two lock classes are acquired in opposite orders anywhere in the call graph"

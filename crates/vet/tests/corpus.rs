@@ -26,7 +26,6 @@ fn stdout(out: &Output) -> String {
 /// Every seeded violation, as `(file, line, lint)`. The corpus README
 /// documents what each one is; this list is the contract the test pins.
 const SEEDED: &[(&str, u32, &str)] = &[
-    ("crates/demo/src/cache.rs", 16, "oracle-twin"),
     ("crates/demo/src/hot.rs", 8, "hot-path"),
     ("crates/demo/src/hot.rs", 16, "hot-path"),
     ("crates/demo/src/hot.rs", 28, "hot-path"),
@@ -38,9 +37,6 @@ const SEEDED: &[(&str, u32, &str)] = &[
     ("crates/query/src/edit.rs", 21, "edit-exhaustive"),
     ("crates/query/src/edit.rs", 29, "edit-exhaustive"),
     ("crates/query/src/engine.rs", 12, "span-vocab"),
-    ("crates/query/src/engine.rs", 19, "deprecated-wrapper"),
-    ("crates/query/src/engine.rs", 25, "deprecated-wrapper"),
-    ("crates/query/src/engine.rs", 32, "deprecated-wrapper"),
     ("crates/query/src/metrics.rs", 11, "prom-name"),
     ("crates/query/src/metrics.rs", 12, "prom-name"),
     ("crates/query/src/metrics.rs", 13, "prom-name"),
@@ -125,7 +121,6 @@ fn json_report_matches_the_text_findings() {
         "error-exit",
         "api-surface",
         "prom-name",
-        "deprecated-wrapper",
         "oracle-twin",
         "lock-order",
         "hold-across-blocking",
@@ -246,7 +241,6 @@ fn list_names_every_lint() {
         "error-exit",
         "api-surface",
         "prom-name",
-        "deprecated-wrapper",
         "oracle-twin",
         "lock-order",
         "hold-across-blocking",

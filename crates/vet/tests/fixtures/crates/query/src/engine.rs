@@ -1,35 +1,16 @@
-//! Fixture engine seeding `span-vocab` and `deprecated-wrapper`.
+//! Fixture engine seeding `span-vocab`.
 //!
-//! Seeded findings: one off-vocabulary span name, an `eval*` wrapper
-//! without deprecation docs, one that does not forward to `run`, and a
-//! `#[doc(hidden)]` getter without deprecation docs.
+//! Seeded finding: one off-vocabulary span name (`rogue-stage`); the
+//! stable `query`, `parse` and `exec` spans around it must stay
+//! silent.
 
 impl Engine {
-    /// The current entry point (no constraints apply to it).
+    /// The query entry point.
     pub fn run(&self, q: &str) -> Outcome {
         let mut trace = TraceBuilder::enabled("query");
         trace.begin("parse");
         trace.begin("rogue-stage");
         trace.begin("exec");
         self.pipeline(q, trace)
-    }
-
-    /// Evaluates a query the old way — forwards correctly but the doc
-    /// comment never marks it as legacy: one finding.
-    pub fn eval(&self, q: &str) -> Outcome {
-        self.run(q)
-    }
-
-    /// Deprecated: prefer [`Engine::run`] — but the body re-implements
-    /// evaluation instead of forwarding: one finding.
-    pub fn eval_fast(&self, q: &str) -> Outcome {
-        self.pipeline(q, TraceBuilder::disabled())
-    }
-
-    /// Cache counters, hidden from docs without a replacement pointer:
-    /// one finding.
-    #[doc(hidden)]
-    pub fn old_counters(&self) -> u64 {
-        self.counters
     }
 }

@@ -16,7 +16,7 @@
 //! through (inversion, regrouping, projection, identity, …) and
 //! [`queries`] the query workloads per scenario. [`readwrite`] drives a
 //! live engine with concurrent readers while a writer streams edit
-//! batches — the scenario behind the cache-maintenance experiments —
+//! batches — the scenario behind the edit-then-query cache experiments —
 //! and [`serve`] deals the seeded point/twig/edit op streams the query
 //! server's bench replays over the wire. All are consumed by the
 //! benchmark harness (`vh-bench`) and the integration tests.

@@ -155,7 +155,7 @@ if [ "$RUN_GATE" = 1 ]; then
   echo "==> cargo fmt --check"
   cargo fmt --all -- --check
 
-  echo "==> cargo clippy (warnings are errors; unwrap/expect denied in lib crates)"
+  echo "==> cargo clippy (warnings are errors; the [workspace.lints.clippy] table binds lib crates)"
   cargo clippy --workspace --all-targets -- -D warnings -D clippy::dbg_macro
 
   run_vet

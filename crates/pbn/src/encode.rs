@@ -160,9 +160,11 @@ impl EncodedPbn {
     pub fn decode(&self) -> Pbn {
         // Documented panic: trusted internal call sites only; untrusted
         // input must go through `try_decode` / `from_bytes`.
-        #[allow(clippy::expect_used)]
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic; untrusted input goes through try_decode"
+        )]
         self.try_decode()
-            // vet: allow(no-panic) — documented panic; untrusted input goes through try_decode
             .expect("EncodedPbn holds a valid encoding")
     }
 

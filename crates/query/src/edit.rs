@@ -11,10 +11,13 @@
 //! acknowledging the edit, so the synced log prefix always reproduces the
 //! acknowledged document state ([`crate::engine::Engine::recover`]).
 //!
-//! Every `match` over [`Edit`] in this crate is exhaustive by policy — no
-//! `_ =>` arms — so adding a variant fails compilation at each encode,
-//! replay and trace-emission site instead of silently corrupting logs.
-//! The `vh-vet` `edit-exhaustive` lint pins this.
+//! Every `match` over [`Edit`] is exhaustive by policy — no `_ =>` or
+//! catch-all binding arms — so adding a variant fails compilation at each
+//! encode, replay and trace-emission site instead of silently corrupting
+//! logs. Clippy's `wildcard_enum_match_arm`, denied on this module and on
+//! each module or fn elsewhere that fans out over an edit, pins this.
+
+#![deny(clippy::wildcard_enum_match_arm)]
 
 use vh_dataguide::EditError;
 use vh_obs::QueryTrace;

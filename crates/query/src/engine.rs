@@ -26,6 +26,9 @@
 //! [`Engine::metrics_text`] expose the cumulative counters. v1 of the API
 //! is [`QueryRequest`] in, [`QueryOutcome`] out.
 
+// Every match over `Edit` names each variant (DESIGN §11).
+#![deny(clippy::wildcard_enum_match_arm)]
+
 use crate::doc::{PhysicalDoc, QueryDoc, VirtualDoc};
 use crate::edit::{Edit, EditReceipt, EditRecovery, ReplayFailure};
 use crate::error::Limits;
@@ -47,9 +50,6 @@ use vh_obs::{
     AxisCounters, CacheOutcome, PromWriter, QueryCounterCells, QueryCounters, QueryStats,
     QueryTrace, Span, TraceBuilder, ViewProvenance,
 };
-use vh_storage::buffer::BufferStats;
-use vh_storage::stats::StorageStats;
-use vh_storage::store::StoredDocument;
 use vh_storage::{replay, EditWal, StorageError};
 use vh_xml::{Document, NodeId};
 
@@ -268,17 +268,12 @@ impl Explain {
     }
 }
 
-/// One engine-wide statistics snapshot: compiled-view cache counters,
-/// storage and buffer-pool counters aggregated over the attached stores,
-/// and cumulative query counters. Returned by [`Engine::snapshot`].
+/// One engine-wide statistics snapshot: compiled-view cache counters and
+/// cumulative query counters. Returned by [`Engine::snapshot`].
 #[derive(Clone, Debug, Default)]
 pub struct EngineSnapshot {
     /// Hit/miss/eviction counters of the compiled-view cache.
     pub cache: CacheStats,
-    /// Storage sizes and access counters, merged over attached stores.
-    pub storage: StorageStats,
-    /// Buffer-pool counters, merged over attached stores with pools.
-    pub buffers: BufferStats,
     /// Cumulative query counters since the engine was created.
     pub queries: QueryCounters,
 }
@@ -299,9 +294,6 @@ pub struct Engine {
     limits: Limits,
     /// Cumulative query counters (a few relaxed adds per query).
     counters: QueryCounterCells,
-    /// Page stores attached for storage-stats reporting (see
-    /// [`Engine::attach_store`]); queries never read through them.
-    stores: HashMap<String, StoredDocument>,
     /// The engine-wide write-ahead edit log. An edit is acknowledged only
     /// after its frame is appended *and synced* here, so the synced
     /// prefix always reproduces the acknowledged document state.
@@ -312,6 +304,13 @@ pub struct Engine {
     applied_seq: u64,
 }
 
+// The engine stays `Send + Sync` (see the module doc): a field that breaks
+// either bound fails the build here rather than at a distant spawn site.
+const _: () = {
+    const fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Engine>();
+};
+
 impl Default for Engine {
     fn default() -> Self {
         Engine {
@@ -321,7 +320,6 @@ impl Default for Engine {
             exec: ExecOptions::default(),
             limits: Limits::default(),
             counters: QueryCounterCells::new(),
-            stores: HashMap::new(),
             wal: EditWal::new(),
             applied_seq: 0,
         }
@@ -382,7 +380,6 @@ impl Engine {
     /// and recording the new guide fingerprint.
     fn install(&mut self, uri: String, td: TypedDocument) {
         self.cache.invalidate_uri(&uri);
-        self.stores.remove(&uri);
         self.guide_hash
             .insert(uri.clone(), guide_fingerprint(td.guide()));
         self.docs.insert(uri, td);
@@ -391,21 +388,6 @@ impl Engine {
     /// The analyzed document registered under `uri`.
     pub fn document(&self, uri: &str) -> Option<&TypedDocument> {
         self.docs.get(uri)
-    }
-
-    /// Builds (or returns the existing) page store for the document at
-    /// `uri`, so [`Engine::snapshot`] can report storage sizes and access
-    /// counters for it. Queries evaluate against the in-memory analyzed
-    /// document either way.
-    pub fn attach_store(&mut self, uri: &str) -> Result<&StoredDocument, FlwrError> {
-        let td = self
-            .docs
-            .get(uri)
-            .ok_or_else(|| FlwrError::UnknownDocument(uri.to_owned()))?;
-        Ok(self
-            .stores
-            .entry(uri.to_owned())
-            .or_insert_with(|| StoredDocument::build(td.clone())))
     }
 
     // ----------------------------------------------------------- edits ---
@@ -631,7 +613,6 @@ impl Engine {
         };
         trace.count("edit.nodes_touched", nodes_touched);
         let fp = guide_fingerprint(td.guide());
-        self.stores.remove(uri);
         self.guide_hash.insert(uri.to_owned(), fp);
         if slots > 0 {
             let evicted = self.cache.evict_edited(uri);
@@ -963,22 +944,11 @@ impl Engine {
     // --------------------------------------------------- statistics -----
 
     /// One consolidated statistics snapshot: compiled-view cache
-    /// counters, storage/buffer counters merged over the attached
-    /// stores, and cumulative query counters. Edits take `&mut self`, so
-    /// no edit can commit while a snapshot is assembled.
+    /// counters and cumulative query counters. Edits take `&mut self`,
+    /// so no edit can commit while a snapshot is assembled.
     pub fn snapshot(&self) -> EngineSnapshot {
-        let mut storage = StorageStats::default();
-        let mut buffers = BufferStats::default();
-        for store in self.stores.values() {
-            storage.merge(&store.stats());
-            if let Some(b) = store.buffer_stats() {
-                buffers.merge(&b);
-            }
-        }
         EngineSnapshot {
             cache: self.cache.stats(),
-            storage,
-            buffers,
             queries: self.counters.snapshot(),
         }
     }
@@ -1075,40 +1045,6 @@ impl Engine {
             "Cached view artifacts an edit evicted for recompute.",
         );
         w.sample("vh_cache_recomputed_total", &[], snap.cache.recomputed);
-        w.gauge(
-            "vpbn_storage_resident_bytes",
-            "Resident bytes across attached stores.",
-        );
-        w.sample(
-            "vpbn_storage_resident_bytes",
-            &[],
-            snap.storage.total_bytes() as u64,
-        );
-        w.counter("vpbn_storage_pages_read_total", "Pages read.");
-        w.sample(
-            "vpbn_storage_pages_read_total",
-            &[],
-            snap.storage.pages_read,
-        );
-        w.counter("vpbn_storage_read_retries_total", "Page read retries.");
-        w.sample(
-            "vpbn_storage_read_retries_total",
-            &[],
-            snap.storage.read_retries,
-        );
-        w.counter(
-            "vpbn_storage_checksum_failures_total",
-            "Pages delivered with a CRC mismatch.",
-        );
-        w.sample(
-            "vpbn_storage_checksum_failures_total",
-            &[],
-            snap.storage.checksum_failures,
-        );
-        w.counter("vpbn_buffer_hits_total", "Buffer-pool hits.");
-        w.sample("vpbn_buffer_hits_total", &[], snap.buffers.hits);
-        w.counter("vpbn_buffer_misses_total", "Buffer-pool misses.");
-        w.sample("vpbn_buffer_misses_total", &[], snap.buffers.misses);
         w.finish()
     }
 }
@@ -1563,16 +1499,14 @@ mod tests {
 
     #[test]
     fn snapshot_and_metrics_cover_all_sections() {
-        let mut e = engine();
+        let e = engine();
         e.run(&QueryRequest::flwr(RHONDA)).must();
         let _ = e.run(&QueryRequest::flwr("not a query"));
-        e.attach_store("book.xml").must();
         let snap = e.snapshot();
         assert_eq!(snap.queries.queries, 2);
         assert_eq!(snap.queries.failures, 1);
         assert!(snap.queries.total_ns > 0);
         assert!(snap.cache.expansions.entries > 0);
-        assert!(snap.storage.total_bytes() > 0);
         let text = e.metrics_text();
         for needle in [
             "vpbn_queries_total 2",
@@ -1580,11 +1514,10 @@ mod tests {
             "vpbn_query_stage_ns_total{stage=\"exec\"}",
             "vpbn_cache_hits_total{artifact=\"expansions\"}",
             "vh_cache_recomputed_total 0",
-            "vpbn_storage_resident_bytes",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
         }
-        assert!(e.attach_store("nope.xml").is_err());
+        assert!(!text.contains("vpbn_storage_"), "{text}");
     }
 
     #[test]

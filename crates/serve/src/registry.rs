@@ -19,8 +19,8 @@ use crate::wire::{Address, Reject};
 pub struct Tenant {
     name: String,
     prefix: Vec<u8>,
-    // `Engine` is `Send` but not `Sync` (storage counters are `Cell`s),
-    // so cross-worker sharing goes through a mutex, exactly like the
+    // `Engine` is `Send + Sync`, but edits need `&mut Engine`, so one
+    // mutex serialises a tenant's reads and writes, exactly like the
     // vh-workload read/write scenario.
     engine: Mutex<Engine>,
     admission: Admission,

@@ -395,12 +395,13 @@ fn query_status(e: &QueryError) -> WireStatus {
     }
 }
 
+#[deny(clippy::wildcard_enum_match_arm)]
 fn execute(request: &Request, tenant: &Tenant, shared: &Shared) -> Response {
     let doc = &request.address.document;
     match &request.body {
         RequestBody::Point { path } => {
             let engine = tenant.engine();
-            // vet: allow(hold-across-blocking) — Engine is Send + !Sync; per-tenant serialisation under the registry mutex is the documented execution model (one writer per tenant)
+            // vet: allow(hold-across-blocking) — edits need &mut Engine; per-tenant serialisation under the registry mutex is the documented execution model (one writer per tenant)
             match engine.run(&QueryRequest::path(doc, path)) {
                 Ok(out) => Response::Count(out.nodes.map_or(0, |n| n.len() as u64)),
                 Err(e) => Response::Error {
@@ -472,7 +473,7 @@ fn execute(request: &Request, tenant: &Tenant, shared: &Shared) -> Response {
 /// (hand-rolled: the workspace carries no serde).
 pub fn snapshot_json(engine: &Engine) -> String {
     let snap = engine.snapshot();
-    let fields: [(&str, u64); 12] = [
+    let fields: [(&str, u64); 10] = [
         ("queries", snap.queries.queries),
         ("failures", snap.queries.failures),
         ("edits", snap.queries.edits),
@@ -483,8 +484,6 @@ pub fn snapshot_json(engine: &Engine) -> String {
         ("maintained", snap.cache.maintained),
         ("recomputed", snap.cache.recomputed),
         ("fallback_evictions", snap.cache.fallback_evictions),
-        ("buffer_hits", snap.buffers.hits),
-        ("buffer_misses", snap.buffers.misses),
     ];
     let mut out = String::from("{");
     for (i, (k, v)) in fields.iter().enumerate() {

@@ -41,6 +41,10 @@
 //! str      := u32 LE length · UTF-8 bytes
 //! ```
 
+// Every table over `Verb`, `RequestBody` and the statuses (the edit verb
+// included) names each variant (DESIGN §11).
+#![deny(clippy::wildcard_enum_match_arm)]
+
 use vh_pbn::{decode_ordinal_value, encode_ordinal_value};
 use vh_storage::crc::crc32;
 

@@ -29,15 +29,6 @@ pub struct BufferStats {
 }
 
 impl BufferStats {
-    /// Folds another snapshot into this one — how an engine aggregates
-    /// one `EngineSnapshot.buffers` over every pool it can see.
-    pub fn merge(&mut self, other: &BufferStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.quarantines += other.quarantines;
-    }
-
     /// Hit ratio in `[0, 1]`; 0 when nothing was requested.
     pub fn hit_ratio(&self) -> f64 {
         let total = self.hits + self.misses;

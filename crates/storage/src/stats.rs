@@ -32,25 +32,6 @@ pub struct StorageStats {
 }
 
 impl StorageStats {
-    /// Folds another snapshot into this one field-by-field — how an
-    /// engine aggregates one `EngineSnapshot.storage` over every store
-    /// it has attached.
-    pub fn merge(&mut self, other: &StorageStats) {
-        self.document_bytes += other.document_bytes;
-        self.document_pages += other.document_pages;
-        self.value_index_bytes += other.value_index_bytes;
-        self.type_index_bytes += other.type_index_bytes;
-        self.name_index_bytes += other.name_index_bytes;
-        self.header_bytes += other.header_bytes;
-        self.pbn_column_bytes += other.pbn_column_bytes;
-        self.pages_read += other.pages_read;
-        self.bytes_read += other.bytes_read;
-        self.read_retries += other.read_retries;
-        self.transient_faults += other.transient_faults;
-        self.checksum_failures += other.checksum_failures;
-        self.quarantines += other.quarantines;
-    }
-
     /// Total resident bytes (string + indexes + headers).
     pub fn total_bytes(&self) -> usize {
         self.document_bytes
@@ -78,40 +59,5 @@ mod tests {
             ..StorageStats::default()
         };
         assert_eq!(s.total_bytes(), 200);
-    }
-
-    #[test]
-    fn merge_sums_every_field() {
-        let a = StorageStats {
-            document_bytes: 1,
-            document_pages: 2,
-            value_index_bytes: 3,
-            type_index_bytes: 4,
-            name_index_bytes: 5,
-            header_bytes: 6,
-            pbn_column_bytes: 7,
-            pages_read: 8,
-            bytes_read: 9,
-            read_retries: 10,
-            transient_faults: 11,
-            checksum_failures: 12,
-            quarantines: 13,
-        };
-        let mut m = a;
-        m.merge(&a);
-        assert_eq!(m.document_bytes, 2);
-        assert_eq!(m.document_pages, 4);
-        assert_eq!(m.value_index_bytes, 6);
-        assert_eq!(m.type_index_bytes, 8);
-        assert_eq!(m.name_index_bytes, 10);
-        assert_eq!(m.header_bytes, 12);
-        assert_eq!(m.pbn_column_bytes, 14);
-        assert_eq!(m.pages_read, 16);
-        assert_eq!(m.bytes_read, 18);
-        assert_eq!(m.read_retries, 20);
-        assert_eq!(m.transient_faults, 22);
-        assert_eq!(m.checksum_failures, 24);
-        assert_eq!(m.quarantines, 26);
-        assert_eq!(m.total_bytes(), 2 * a.total_bytes());
     }
 }

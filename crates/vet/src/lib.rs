@@ -6,13 +6,14 @@
 //! A dependency-free static-analysis pass over every `.rs` file in the
 //! workspace, enforcing the cross-file invariants clippy cannot express
 //! (DESIGN.md §11). The suite grew contracts that live in more than one
-//! crate — panic-freedom in libraries, `SAFETY:` justifications, the
-//! stable span vocabulary shared by `vh-query` and `vh-obs`, the
-//! `VhError` ↔ exit-code ↔ README synchronisation, Prometheus family
-//! discipline, the scalar twins of branch-free kernels — and each was
-//! policed only by convention. `vh-vet` checks them at lint time, in the
-//! spirit of catching the invariant break before it ships rather than
-//! under load.
+//! crate — the stable span vocabulary shared by `vh-query` and `vh-obs`,
+//! the `VhError` ↔ exit-code ↔ README synchronisation, Prometheus family
+//! discipline, the scalar twins of branch-free kernels, lock order —
+//! and each was policed only by convention. `vh-vet` checks them at lint
+//! time, in the spirit of catching the invariant break before it ships
+//! rather than under load. Panic-freedom in libraries, `SAFETY:`
+//! justifications and exhaustive `Edit` matches are clippy's job: the
+//! root `Cargo.toml` holds them in `[workspace.lints.clippy]`.
 //!
 //! Pipeline: [`workspace::Workspace::load`] walks the tree and scans
 //! every file with the hand-rolled lexer in [`scan`]; [`model`] builds
@@ -31,8 +32,8 @@
 //! The binary (`vh-vet`) exits 0 on a clean tree, 1 when findings exist,
 //! 2 on usage errors and 3 on I/O errors, matching the suite's exit-code
 //! classes. `crates/vet/tests/self_check.rs` runs the whole pass over
-//! the live workspace on every `cargo test`, so a stray `unwrap()` or an
-//! uncommented `unsafe` fails the ordinary test gate, not just CI.
+//! the live workspace on every `cargo test`, so an off-vocabulary span
+//! name or a lock-order cycle fails the ordinary test gate, not just CI.
 
 pub mod callgraph;
 pub mod findings;

@@ -1,23 +1,20 @@
 //! The lint set and its driver.
 //!
-//! Per-file lints ([`panics`], [`safety`], [`prom`], [`oracle`]) run over every
-//! walked file in their scope; cross-file lints ([`spans`], [`edits`],
-//! [`errors`], [`api`]) additionally read the workspace files that define
-//! the invariant they enforce (the `vh-obs` span vocabulary, the `Edit`
-//! mutation enum, the `VhError` facade, the VHRPC wire tables). The driver wires scopes
+//! Per-file lints ([`prom`], [`oracle`]) run over every walked file in
+//! their scope; cross-file lints ([`spans`], [`errors`], [`api`])
+//! additionally read the workspace files that define the invariant they
+//! enforce (the `vh-obs` span vocabulary, the `VhError` facade, the
+//! VHRPC wire tables). The driver wires scopes
 //! to [`FileClass`](crate::workspace::FileClass) and returns findings
 //! sorted by path, line and lint id.
 
 pub mod api;
-pub mod edits;
 pub mod errors;
 pub mod hold_blocking;
 pub mod hot_path;
 pub mod lock_order;
 pub mod oracle;
-pub mod panics;
 pub mod prom;
-pub mod safety;
 pub mod spans;
 
 use crate::callgraph::CallGraph;
@@ -208,13 +205,10 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
     let mut out = Vec::new();
     for file in &ws.files {
         allow_comments(file, &mut out);
-        panics::check(file, &mut out);
-        safety::check(file, &mut out);
         prom::check(file, &mut out);
         oracle::check(file, &mut out);
     }
     spans::check(ws, &mut out);
-    edits::check(ws, &mut out);
     errors::check(ws, &mut out);
     api::check(ws, &mut out);
     // The semantic families share one model, call graph and lock walk.

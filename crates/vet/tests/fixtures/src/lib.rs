@@ -1,57 +1,44 @@
-//! Fixture library seeding every `no-panic` form plus the allow-comment
-//! edge cases (`vet-allow`).
+//! Fixture library seeding the allow-comment edge cases (`vet-allow`,
+//! `stale-allow`) over `hot-path` findings.
 //!
-//! Seeded findings: six `no-panic` forms in `panics`/`unfinished`, one
-//! suppressed occurrence in `documented`, a reason-less allow and an
-//! unknown-lint allow (each a `vet-allow` finding whose occurrence still
-//! fires), and a `#[cfg(test)]` region that must stay silent.
+//! Seeded findings: one suppressed index in `documented`, a reason-less
+//! allow and an unknown-lint allow (each a `vet-allow` finding whose
+//! `hot-path` index still fires), one stale allow, and a `#[cfg(test)]`
+//! hot kernel that must stay silent.
 
-/// Fires all six forbidden forms.
-pub fn panics(x: Option<u32>) -> u32 {
-    dbg!(x);
-    let a = x.unwrap();
-    let b = x.expect("fixture");
-    if a > b {
-        panic!("boom");
-    }
-    todo!()
-}
-
-/// Fires `unimplemented!`.
-pub fn unfinished() {
-    unimplemented!()
-}
-
-/// A properly documented caller bug: suppressed, zero findings.
-pub fn documented(x: Option<u32>) -> u32 {
-    // vet: allow(no-panic) — fixture: documented caller bug
-    x.unwrap()
+/// A documented bounded index: suppressed, zero findings.
+// vet: hot
+pub fn documented(xs: &[u32]) -> u32 {
+    // vet: allow(hot-path) — fixture: callers pass a non-empty slice
+    xs[0]
 }
 
 /// A reason-less allow suppresses nothing: one `vet-allow` finding plus
-/// the `no-panic` finding it failed to gate.
-pub fn reasonless(x: Option<u32>) -> u32 {
-    // vet: allow(no-panic)
-    x.unwrap()
+/// the `hot-path` finding it failed to gate.
+// vet: hot
+pub fn reasonless(xs: &[u32]) -> u32 {
+    // vet: allow(hot-path)
+    xs[0]
 }
 
 /// An unknown lint id: one `vet-allow` finding plus the ungated
-/// `no-panic` finding.
-pub fn unknown_lint(x: Option<u32>) -> u32 {
+/// `hot-path` finding.
+// vet: hot
+pub fn unknown_lint(xs: &[u32]) -> u32 {
     // vet: allow(no-such-lint) — reason given but the lint is made up
-    x.unwrap()
+    xs[0]
 }
 
 #[cfg(test)]
 mod tests {
-    #[test]
-    fn test_code_is_exempt() {
-        Some(1u32).unwrap();
+    // vet: hot
+    fn test_code_is_exempt(xs: &[u32]) -> u32 {
+        xs[0]
     }
 }
 
-/// Seeded `stale-allow`: the unwrap this once gated is long gone.
-pub fn healed(x: Option<u32>) -> u32 {
-    // vet: allow(no-panic) — fixture: stale, the unwrap was removed
-    x.map_or(0, |v| v + 1)
+/// Seeded `stale-allow`: the index this once gated is long gone.
+pub fn healed(xs: &[u32]) -> u32 {
+    // vet: allow(hot-path) — fixture: stale, the index was removed
+    xs.first().copied().unwrap_or(0)
 }

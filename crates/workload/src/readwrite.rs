@@ -13,6 +13,9 @@
 //! and the post-quiesce query answers are interleaving-independent,
 //! which is exactly the correctness claim the cache must uphold.
 
+// Every match over `Edit` names each variant (DESIGN §11).
+#![deny(clippy::wildcard_enum_match_arm)]
+
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
@@ -102,9 +105,9 @@ pub fn run_readwrite(cfg: &ReadWriteConfig) -> ReadWriteReport {
         ));
     }
 
-    // `Engine` is `Send` but not `Sync` (storage counters are `Cell`s),
-    // so cross-thread sharing goes through a mutex: readers and the
-    // writer interleave rather than overlap. Readers drop the lock
+    // `Engine` is `Send + Sync`, but the writer needs `&mut Engine`, so
+    // cross-thread sharing goes through a mutex: readers and the writer
+    // interleave rather than overlap. Readers drop the lock
     // between queries, so every batch commit slots into the stream.
     let shared = Mutex::new(engine);
     let done = AtomicBool::new(false);

@@ -11,6 +11,9 @@
 //! [`vh_serve` client]: https://docs.rs/vh-serve
 //! [`readwrite`]: crate::readwrite
 
+// Every match over `Edit` names each variant (DESIGN §11).
+#![deny(clippy::wildcard_enum_match_arm)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vh_query::{Edit, Engine};

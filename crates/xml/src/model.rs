@@ -31,8 +31,10 @@ impl NodeId {
     pub fn from_index(index: usize) -> Self {
         // Documented capacity limit: node ids are u32 by design (the paper's
         // level arrays assume 32-bit ordinals); >4 Gi nodes is unsupported.
-        #[allow(clippy::expect_used)]
-        // vet: allow(no-panic) — documented capacity limit: >4 Gi nodes is out of scope
+        #[expect(
+            clippy::expect_used,
+            reason = "documented capacity limit: >4 Gi nodes is out of scope"
+        )]
         NodeId(u32::try_from(index).expect("node index exceeds u32 range"))
     }
 }

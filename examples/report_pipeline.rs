@@ -7,6 +7,8 @@
 //!
 //! Run with: `cargo run --example report_pipeline`
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use vpbn_suite::query::api::{Engine, QueryRequest};
 use vpbn_suite::workload::{generate_books, BooksConfig};
 use vpbn_suite::xml::{serialize, SerializeOptions};

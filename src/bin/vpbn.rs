@@ -49,6 +49,11 @@
 //! storage=7, resource limits=8, edit rejected=9, serve=10 (see
 //! `vpbn_suite::error`).
 
+// Exempt from the lib panic lints, like the tests and examples; every
+// match over `Edit` still names each variant (DESIGN §11).
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::wildcard_enum_match_arm)]
+
 use std::process::ExitCode;
 use vpbn_suite::dataguide::TypedDocument;
 use vpbn_suite::query::api::{
@@ -56,6 +61,7 @@ use vpbn_suite::query::api::{
     VirtualDocument,
 };
 use vpbn_suite::serve::{Client, ClientError, Registry, Server, ServerConfig, TenantQuota};
+use vpbn_suite::storage::StoredDocument;
 use vpbn_suite::xml::{serialize, SerializeOptions};
 use vpbn_suite::VhError;
 
@@ -274,7 +280,10 @@ fn run(args: &[String]) -> Result<(), VhError> {
                     .as_deref()
                     .ok_or_else(|| VhError::usage("stats: load a document first"))?;
                 expect_end(args, i + 1)?;
-                let s = engine.attach_store(uri)?.stats();
+                let td = engine
+                    .document(uri)
+                    .ok_or_else(|| QueryError::UnknownDocument(uri.to_owned()))?;
+                let s = StoredDocument::build(td.clone()).stats();
                 println!("storage statistics for {uri}:");
                 println!(
                     "  document string : {:>10} B over {} pages",
@@ -298,13 +307,6 @@ fn run(args: &[String]) -> Result<(), VhError> {
                         c.entries, c.hits, c.misses, c.evictions, c.invalidations
                     );
                 }
-                println!(
-                    "buffer pool: {} hits / {} misses, {} evicted, {} quarantined",
-                    snap.buffers.hits,
-                    snap.buffers.misses,
-                    snap.buffers.evictions,
-                    snap.buffers.quarantines
-                );
                 println!(
                     "queries: {} run ({} traced), {} failed, {} result node(s)",
                     snap.queries.queries,

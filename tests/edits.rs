@@ -7,6 +7,8 @@
 //! engine's caches are warmed *before* the script runs, so any stale
 //! `ExecCache` entry surviving an edit shows up as an oracle mismatch.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use proptest::prelude::*;
 
 mod common;

@@ -3,6 +3,8 @@
 //! read either returns the exact bytes the writer stored or a structured
 //! [`StorageError`]; no fault may surface as a silently wrong answer.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use std::time::Duration;
 use vpbn_suite::core::value::virtual_value;
 use vpbn_suite::core::VirtualDocument;

@@ -7,6 +7,8 @@
 //! least-common-ancestor rule without touching level arrays, so agreement
 //! here genuinely validates Algorithm 1 and the §5 predicates (Theorem 1).
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use vpbn_suite::core::transform::materialize;
 use vpbn_suite::core::value::virtual_value;
 use vpbn_suite::core::{axes, VDataGuide, VirtualDocument};

@@ -2,6 +2,8 @@
 //! text, pinned verbatim. If an implementation change breaks any number
 //! the paper prints, it breaks here.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use vpbn_suite::core::{axes, VirtualDocument};
 use vpbn_suite::dataguide::TypedDocument;
 use vpbn_suite::query::{Engine, QueryRequest};

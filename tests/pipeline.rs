@@ -3,6 +3,8 @@
 //! `virtualDoc`), at generated-corpus scale, plus storage-backed value
 //! stitching.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use vpbn_suite::core::value::virtual_value;
 use vpbn_suite::core::VirtualDocument;
 use vpbn_suite::dataguide::TypedDocument;

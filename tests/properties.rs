@@ -1,5 +1,7 @@
 //! Property-based tests (proptest) on the core invariants.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use proptest::prelude::*;
 use vpbn_suite::core::transform::materialize;
 use vpbn_suite::core::{VDataGuide, VirtualDocument};

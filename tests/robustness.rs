@@ -2,6 +2,8 @@
 //! an error — never panic — and the engines must fail cleanly on bad
 //! input. Uses proptest to fuzz the grammars with adversarial-ish strings.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use proptest::prelude::*;
 use vpbn_suite::core::{VDataGuide, VdgSpec};
 use vpbn_suite::dataguide::TypedDocument;

@@ -2,6 +2,8 @@
 //! behaviour) and axis-heavy query equivalence between virtual views and
 //! their materialized counterparts.
 
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use vpbn_suite::core::transform::materialize;
 use vpbn_suite::core::value::virtual_value;
 use vpbn_suite::core::{VDataGuide, VirtualDocument};
